@@ -713,7 +713,7 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
                 inc_update_seconds += perf_counter() - t0
                 batch_index += 1
                 if batch_index == warmup_batches:
-                    repacks_at_warmup = service._dynadj.repack_count
+                    repacks_at_warmup = service.stats()["updates"]["repacks"]
             else:
                 side, vertex = payload
                 t0 = perf_counter()
@@ -725,10 +725,9 @@ def bench_update(smoke: bool) -> tuple[dict, list[str]]:
         stats = service.stats()
         final_graph = service.graph
         final_bounds = service.engine.bounds
+        adjacency = service.live.adjacency
         dynadj_bytes = (
-            service._dynadj.canonical_bytes()
-            if service._dynadj is not None
-            else None
+            adjacency.canonical_bytes() if adjacency is not None else None
         )
         total_repacks = stats["updates"]["repacks"]
         steady_repacks = total_repacks - repacks_at_warmup

@@ -58,7 +58,7 @@ def _workload(graph, num_queries: int):
 def _sweep_seconds(kind: str, graph, requests, num_workers: int) -> float:
     with create_executor(kind, graph, num_workers=num_workers) as executor:
         start = time.perf_counter()
-        executor.map("query", requests)
+        executor.map("query_batch", [[r] for r in requests])
         return time.perf_counter() - start
 
 

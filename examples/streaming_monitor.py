@@ -55,7 +55,8 @@ def main() -> None:
     seed_id = graph.vertex_by_label(Side.UPPER, "seed_account")
 
     # Label bookkeeping: updates are id-based, and new accounts get
-    # fresh upper ids past the bootstrap range.
+    # fresh upper ids past the bootstrap range (answers name them by
+    # that id, since the edge file never labelled them).
     labels = list(graph.labels(Side.UPPER))
     product_ids = {
         graph.label(Side.LOWER, v): v for v in range(graph.num_lower)
@@ -90,7 +91,10 @@ def main() -> None:
             )["result"]
             status = "-"
             if group is not None:
-                members = sorted(labels[int(u)] for u in group["upper"])
+                members = sorted(
+                    labels[int(u)] if u.isdigit() else u
+                    for u in group["upper"]
+                )
                 status = f"ALERT: {members} on {len(group['lower'])} products"
             arrivals = ", ".join(f"+({u}, {p})" for u, p in batch)
             print(

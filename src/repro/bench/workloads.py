@@ -123,9 +123,8 @@ def temporal_replay(
     ``delete_fraction``) or inserts one — preferring to *re-insert* a
     previously deleted edge (probability ``rewire_fraction``, the
     steady-state rewire churn that keeps every degree inside its
-    original envelope, so the packed bit space never drifts past the
-    re-pack budget) and otherwise creating a fresh edge between
-    existing vertices.  With ``query_every > 0`` a Zipf-skewed query
+    original envelope, so the graph neither grows nor thins out) and
+    otherwise creating a fresh edge between existing vertices.  With ``query_every > 0`` a Zipf-skewed query
     event is interleaved after every that many updates.
 
     Returns events as uniform 4-tuples, timestamped by position:
@@ -137,8 +136,7 @@ def temporal_replay(
 
     Deterministic for a given seed.  ``rewire_fraction=1.0`` after a
     warm-up yields a pure steady-state segment (every insert undoes an
-    earlier delete), the regime where incremental maintenance must be
-    re-pack free.
+    earlier delete), the regime the update benchmark measures.
     """
     if num_updates < 1:
         raise ValueError("num_updates must be >= 1")

@@ -37,9 +37,7 @@ from repro.core.naive_index import NaiveIndex, NaiveIndexTimeout, build_naive_in
 from repro.core.skyline import SkylineIndex
 from repro.core.dynamic import DynamicPMBCIndex
 from repro.core.serialize import (
-    load_binary,
     read_binary,
-    save_binary,
     write_binary,
 )
 from repro.core.verify import AnswerCheck, check_personalized_answer
@@ -75,8 +73,6 @@ __all__ = [
     "build_naive_index",
     "SkylineIndex",
     "DynamicPMBCIndex",
-    "save_binary",
-    "load_binary",
     "write_binary",
     "read_binary",
     "AnswerCheck",

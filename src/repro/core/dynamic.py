@@ -18,10 +18,10 @@ scheme on top of the static constructors:
   :class:`~repro.corenum.incremental.IncrementalCoreBounds` — a bounded
   peeling cascade per update instead of a from-scratch ``O(δ·m)``
   recomputation — and stay *exact* at every point.
-- For packed kernels the adjacency is additionally mirrored in a
-  :class:`~repro.kernel.DynamicPackedAdjacency`, so affected trees are
-  rebuilt by fused extraction from live patched bit rows — no ``O(m)``
-  graph snapshot per update batch.
+- The adjacency lives in one
+  :class:`~repro.kernel.DynamicPackedAdjacency` for every kernel; on
+  packed kernels affected trees are rebuilt by fused extraction from
+  its live sets — no ``O(m)`` graph snapshot per update batch.
 - Deleted edges can strand biclique instances in the array ``A``;
   they become unreachable (every tree referencing a broken biclique is
   in the affected set) and :meth:`DynamicPMBCIndex.compact` garbage
@@ -48,7 +48,7 @@ from repro.corenum.incremental import (
 )
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.kernel import is_packed_kernel, resolve_kernel
-from repro.kernel.dynadj import DEFAULT_CHURN_BUDGET, DynamicPackedAdjacency
+from repro.kernel.dynadj import DynamicPackedAdjacency
 
 
 def edge_affected_sets(
@@ -85,12 +85,11 @@ class DynamicPMBCIndex:
         auto-GC; stranded bicliques then accumulate until an explicit
         :meth:`compact`).
     kernel:
-        Compute kernel for tree rebuilds; packed kernels additionally
-        maintain a patched :class:`DynamicPackedAdjacency` so rebuilds
-        skip graph snapshots.
-    cascade_cap / churn_budget:
-        Tuning knobs forwarded to the incremental bounds and the packed
-        adjacency respectively.
+        Compute kernel for tree rebuilds; packed kernels extract
+        straight from the live :class:`DynamicPackedAdjacency`, so
+        rebuilds skip graph snapshots.
+    cascade_cap:
+        Tuning knob forwarded to the incremental bounds.
     bounds:
         Optional existing :class:`CoreBounds` of ``graph`` to adopt —
         it is then repaired in place, so external holders (engines,
@@ -104,26 +103,14 @@ class DynamicPMBCIndex:
         compact_every: int | None = None,
         kernel: str | None = None,
         cascade_cap: int = DEFAULT_CASCADE_CAP,
-        churn_budget: int = DEFAULT_CHURN_BUDGET,
         bounds: CoreBounds | None = None,
     ) -> None:
-        self._adj: dict[Side, list[set[int]]] = {
-            side: [
-                set(graph.neighbors(side, v))
-                for v in range(graph.num_vertices_on(side))
-            ]
-            for side in Side
-        }
+        self._adj = DynamicPackedAdjacency(graph)
         self._use_core_bounds = use_core_bounds
         self._kernel = resolve_kernel(kernel)
         self._inc = (
             IncrementalCoreBounds(graph, bounds=bounds, cascade_cap=cascade_cap)
             if use_core_bounds
-            else None
-        )
-        self._dyn = (
-            DynamicPackedAdjacency(graph, churn_budget=churn_budget)
-            if is_packed_kernel(self._kernel)
             else None
         )
         self.compact_every = compact_every
@@ -142,28 +129,23 @@ class DynamicPMBCIndex:
     def graph(self) -> BipartiteGraph:
         """An immutable snapshot of the current graph."""
         if self._snapshot is None:
-            self._snapshot = BipartiteGraph(
-                [sorted(ns) for ns in self._adj[Side.UPPER]],
-                num_lower=len(self._adj[Side.LOWER]),
-            )
+            self._snapshot = self._adj.snapshot()
         return self._snapshot
 
     def num_vertices_on(self, side: Side) -> int:
         """Current vertex count on ``side`` (including isolated)."""
-        return len(self._adj[side])
+        return self._adj.num_vertices_on(side)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` (upper id, lower id) currently exists."""
-        if u >= len(self._adj[Side.UPPER]) or v >= len(self._adj[Side.LOWER]):
-            return False
-        return v in self._adj[Side.UPPER][u]
+        return self._adj.has_edge(u, v)
 
     @property
     def index(self) -> PMBCIndex:
         """The current index as a plain (static) PMBCIndex view."""
         return PMBCIndex(
-            num_upper=len(self._adj[Side.UPPER]),
-            num_lower=len(self._adj[Side.LOWER]),
+            num_upper=self._adj.num_vertices_on(Side.UPPER),
+            num_lower=self._adj.num_vertices_on(Side.LOWER),
             trees=self._trees,
             array=self._array,
         )
@@ -220,29 +202,23 @@ class DynamicPMBCIndex:
             if action == "insert":
                 self._grow(Side.UPPER, u)
                 self._grow(Side.LOWER, v)
-                if v in self._adj[Side.UPPER][u]:
+                if self._adj.has_edge(u, v):
                     self.noop_updates += 1
                     continue
-                self._adj[Side.UPPER][u].add(v)
-                self._adj[Side.LOWER][v].add(u)
+                self._adj.insert_edge(u, v)
                 if self._inc is not None:
                     self._inc.insert_edge(u, v)
-                if self._dyn is not None:
-                    self._dyn.insert_edge(u, v)
-                affected_upper |= self._adj[Side.LOWER][v]
-                affected_lower |= self._adj[Side.UPPER][u]
+                affected_upper |= self._adj.neighbors(Side.LOWER, v)
+                affected_lower |= self._adj.neighbors(Side.UPPER, u)
             elif action == "delete":
                 if not self.has_edge(u, v):
                     self.noop_updates += 1
                     continue
-                affected_upper |= self._adj[Side.LOWER][v]
-                affected_lower |= self._adj[Side.UPPER][u]
-                self._adj[Side.UPPER][u].discard(v)
-                self._adj[Side.LOWER][v].discard(u)
+                affected_upper |= self._adj.neighbors(Side.LOWER, v)
+                affected_lower |= self._adj.neighbors(Side.UPPER, u)
+                self._adj.delete_edge(u, v)
                 if self._inc is not None:
                     self._inc.delete_edge(u, v)
-                if self._dyn is not None:
-                    self._dyn.delete_edge(u, v)
                 deletions += 1
             else:
                 raise ValueError(f"unknown update action {action!r}")
@@ -265,11 +241,11 @@ class DynamicPMBCIndex:
     def delete_vertex(self, side: Side, v: int) -> int:
         """Remove all incident edges of ``v`` (the vertex id remains,
         with an empty tree).  Returns the number of trees rebuilt."""
-        if not 0 <= v < len(self._adj[side]):
+        if not 0 <= v < self._adj.num_vertices_on(side):
             raise ValueError(
                 f"vertex {v} out of range for the {side.value} layer"
             )
-        neighbors = sorted(self._adj[side][v])
+        neighbors = sorted(self._adj.neighbors(side, v))
         if not neighbors:
             return 0
         if side is Side.UPPER:
@@ -285,7 +261,7 @@ class DynamicPMBCIndex:
 
         Returns ``(new_vertex_id, trees_rebuilt)``.
         """
-        new_id = len(self._adj[side])
+        new_id = self._adj.num_vertices_on(side)
         if not neighbors:
             self._grow(side, new_id)
             return new_id, 0
@@ -331,24 +307,22 @@ class DynamicPMBCIndex:
         }
         if self._inc is not None:
             out["bounds"] = self._inc.stats()
-        if self._dyn is not None:
-            out["adjacency"] = self._dyn.stats()
+        out["adjacency"] = self._adj.stats()
         return out
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _grow(self, side: Side, v: int) -> None:
-        if v < len(self._adj[side]):
+        if v < self._adj.num_vertices_on(side):
             return
         if self._inc is not None:
             self._inc.ensure_vertex(side, v)
-        if self._dyn is not None:
-            self._dyn.ensure_vertex(side, v)
-        while v >= len(self._adj[side]):
-            self._adj[side].append(set())
-            self._trees[side].append(SearchTree())
-            self._snapshot = None
+        self._adj.ensure_vertex(side, v)
+        trees = self._trees[side]
+        while v >= len(trees):
+            trees.append(SearchTree())
+        self._snapshot = None
 
     def _current_bounds(self) -> CoreBounds | None:
         if self._inc is None:
@@ -358,10 +332,10 @@ class DynamicPMBCIndex:
     def _rebuild(
         self, affected_upper: set[int], affected_lower: set[int]
     ) -> int:
-        # Packed kernels extract straight from the live patched
-        # adjacency; the set kernel still needs a materialized snapshot.
-        if self._dyn is not None:
-            graph, extractor = self._dyn, self._dyn.extract
+        # Packed kernels extract straight from the live adjacency; the
+        # set kernel still needs a materialized snapshot.
+        if is_packed_kernel(self._kernel):
+            graph, extractor = self._adj, self._adj.extract
         else:
             graph, extractor = self.graph(), None
         bounds = self._current_bounds()

@@ -126,35 +126,23 @@ def worker_state() -> WorkerState:
 # tasks
 
 
-def task_query(state: WorkerState, item) -> Biclique | None:
-    """Answer one ``(side, vertex, tau_u, tau_l)`` work item."""
-    request = QueryRequest.of(item)
-    return state.engine.query(request)
-
-
 def task_query_batch(state: WorkerState, items) -> list[Biclique | None]:
-    """Answer a batch of work items with grouped two-hop reuse."""
+    """Answer a batch of work items with grouped two-hop reuse.
+
+    The only query task: a single query is a batch of one.
+    """
     return state.engine.query_batch([QueryRequest.of(i) for i in items])
 
 
-def task_query_traced(state: WorkerState, item):
-    """Answer one work item under a fresh trace.
-
-    Returns ``(answer, trace_summary)`` — the process backend runs in
-    another address space, so the trace cannot flow through the
-    parent's context variable; instead the worker traces locally and
-    ships the picklable summary back for the parent to fold into its
-    own trace (:meth:`repro.obs.trace.SearchTrace.merge_summary`).
-    """
-    request = QueryRequest.of(item)
-    trace = SearchTrace(trace_id=request.trace_id)
-    with use_trace(trace):
-        answer = state.engine.query(request)
-    return answer, trace.to_dict()
-
-
 def task_query_batch_traced(state: WorkerState, items):
-    """Answer a batch under a fresh trace; ``(answers, trace_summary)``."""
+    """Answer a batch under a fresh trace; ``(answers, trace_summary)``.
+
+    The process backend runs in another address space, so the trace
+    cannot flow through the parent's context variable; instead the
+    worker traces locally and ships the picklable summary back for the
+    parent to fold into its own trace
+    (:meth:`repro.obs.trace.SearchTrace.merge_summary`).
+    """
     requests = [QueryRequest.of(i) for i in items]
     trace = SearchTrace(
         trace_id=requests[0].trace_id if requests else None
@@ -223,9 +211,7 @@ def merge_portable_tree(
 #: Name -> task function.  Workers resolve tasks by name so only data
 #: crosses the pool boundary.
 TASKS = {
-    "query": task_query,
     "query_batch": task_query_batch,
-    "query_traced": task_query_traced,
     "query_batch_traced": task_query_batch_traced,
     "build_tree": task_build_tree,
     "build_tree_shared": task_build_tree_shared,

@@ -124,6 +124,8 @@ class BipartiteGraph:
         upper: tuple[tuple[int, ...], ...],
         lower: tuple[tuple[int, ...], ...],
         num_edges: int,
+        labels: dict[Side, tuple[Hashable, ...] | None] | None = None,
+        label_ids: dict[Side, dict[Hashable, int] | None] | None = None,
     ) -> "BipartiteGraph":
         """Trusted constructor: rows already normalized and mirrored.
 
@@ -131,14 +133,19 @@ class BipartiteGraph:
         in-range ids and that ``upper``/``lower`` describe the same
         edge set.  Used by the dynamic-adjacency snapshot path
         (:mod:`repro.kernel.dynadj`) to skip the O(E) normalization on
-        every update batch.
+        every update batch.  ``labels`` (one tuple per labelled side,
+        one label per vertex) and a matching ``label_ids`` label→id map
+        are adopted as they are, so successive snapshots can share one
+        map instead of rebuilding it.
         """
         graph = object.__new__(cls)
         graph._adj = {Side.UPPER: upper, Side.LOWER: lower}
         graph._adj_sets = {Side.UPPER: None, Side.LOWER: None}
         graph._num_edges = num_edges
-        graph._labels = {Side.UPPER: None, Side.LOWER: None}
-        graph._label_to_id = {Side.UPPER: None, Side.LOWER: None}
+        graph._labels = dict(labels or {Side.UPPER: None, Side.LOWER: None})
+        graph._label_to_id = dict(
+            label_ids or {Side.UPPER: None, Side.LOWER: None}
+        )
         return graph
 
     # ------------------------------------------------------------------

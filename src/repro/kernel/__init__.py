@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 
-from repro.kernel.dynadj import DEFAULT_CHURN_BUDGET, DynamicPackedAdjacency
+from repro.kernel.dynadj import DynamicPackedAdjacency
 from repro.kernel.packed import (
     PackedLocalGraph,
     iter_bits,
@@ -58,7 +58,6 @@ __all__ = [
     "pack_count",
     "iter_bits",
     "DynamicPackedAdjacency",
-    "DEFAULT_CHURN_BUDGET",
 ]
 
 #: Valid ``kernel=`` selector values; CLI, config and env use these.

@@ -1,66 +1,48 @@
-"""Dynamic full-graph packed adjacency with in-place edge patching.
+"""Dynamic full-graph adjacency for the streaming-update path.
 
-The packed kernels win their benchmarks by re-encoding adjacency as
-degree-ordered bitmasks — but a mutating workload would naively pay a
-full re-pack per edge update.  :class:`DynamicPackedAdjacency` keeps
-*global* packed rows (one big-int mask **and** one ``array('Q')``
-word row per vertex, mirroring the bitset and words kernels) live under
-insertions and deletions:
+:class:`DynamicPackedAdjacency` is the one mutable adjacency store
+behind live edge updates (:mod:`repro.serve.live`,
+:class:`repro.core.dynamic.DynamicPMBCIndex`), for every kernel:
 
-- **Patching** sets/clears one bit in the two incident rows per update
-  — the word rows genuinely in place, the int rows by a single-row
-  rebind — so mutation never re-packs untouched vertices.
-- **Degree-order bookkeeping**: bit positions are assigned by the same
-  stable degree-descending rule as :func:`repro.kernel.packed.pack_local`.
-  Updates drift real degrees away from the packed order; the total
-  drift (``Σ |deg - deg_at_pack|``) is tracked O(1) per patch and a
-  full re-pack is amortized behind ``churn_budget`` — the re-pack
-  counter stays 0 while drift remains inside the budget.
+- **Adjacency sets** per vertex, patched in O(1) per edge update.
+- **Incremental snapshots**: :meth:`snapshot` re-sorts only the rows
+  dirtied since the previous snapshot, so a steady-state update batch
+  pays O(touched vertices), not O(E), to publish an immutable
+  :class:`~repro.graph.bipartite.BipartiteGraph`.
 - **Extraction**: :meth:`extract` builds a two-hop
   :class:`~repro.graph.subgraph.LocalGraph` (with the packed view
-  attached) straight from the live adjacency, bit-for-bit identical to
+  attached) straight from the live sets, bit-for-bit identical to
   :func:`repro.kernel.packed.two_hop_packed` on a materialized
   snapshot — so post-update search-tree rebuilds skip the snapshot
-  round-trip entirely.
+  round-trip entirely.  The packed-set representation lives in that
+  per-query local view; no global bit space is kept.
 
-Byte-level equality is testable at two granularities:
-:meth:`canonical_bytes` (id-space, order-independent — invariant under
-patch-vs-rebuild within any churn budget) and :meth:`packed_bytes`
-(bit-space rows — identical to a from-scratch instance after
-:meth:`force_repack`).
+:meth:`canonical_bytes` serializes the id-space adjacency, equal for
+any two instances holding the same graph however they got there.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
+from typing import Hashable
 
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.graph.subgraph import LocalGraph
 from repro.kernel.packed import PackedLocalGraph, _unpack_adjacency
 
-__all__ = ["DynamicPackedAdjacency", "DEFAULT_CHURN_BUDGET"]
-
-#: Default degree-drift budget before a full re-pack is triggered.
-DEFAULT_CHURN_BUDGET = 256
+__all__ = ["DynamicPackedAdjacency"]
 
 
 class DynamicPackedAdjacency:
-    """Patchable packed adjacency of a whole (mutating) bipartite graph.
+    """Patchable adjacency of a whole (mutating) bipartite graph.
 
     Parameters
     ----------
     graph:
         Starting graph; its adjacency is copied into mutable sets.
-    churn_budget:
-        Total absolute degree drift (summed over vertices) tolerated
-        before the bit order is recomputed and all rows re-packed.
-        ``0`` re-packs on every effective update (the naive baseline).
     """
 
-    def __init__(
-        self, graph: BipartiteGraph, churn_budget: int = DEFAULT_CHURN_BUDGET
-    ) -> None:
+    def __init__(self, graph: BipartiteGraph) -> None:
         self._adj: dict[Side, list[set[int]]] = {
             side: [
                 set(graph.neighbors(side, v))
@@ -68,15 +50,9 @@ class DynamicPackedAdjacency:
             ]
             for side in Side
         }
-        self.churn_budget = churn_budget
         self.patch_count = 0
+        #: Always 0: there is no packed bit space left to re-pack.
         self.repack_count = 0
-        self.drift = 0
-        self._order: dict[Side, list[int]] = {}
-        self._rank: dict[Side, list[int]] = {}
-        self._bit_rows: dict[Side, list[int]] = {}
-        self._word_rows: dict[Side, list[array]] = {}
-        self._packed_deg: dict[Side, list[int]] = {}
         self._edges = sum(len(ns) for ns in self._adj[Side.UPPER])
         # Sorted-row cache for snapshot(): only rows dirtied since the
         # last snapshot are re-sorted, so steady-state snapshots cost
@@ -86,8 +62,6 @@ class DynamicPackedAdjacency:
             Side.UPPER: set(),
             Side.LOWER: set(),
         }
-        self._repack()
-        self.repack_count = 0  # the initial pack is construction, not churn
 
     # ------------------------------------------------------------------
     # Read surface
@@ -112,32 +86,21 @@ class DynamicPackedAdjacency:
 
     def ensure_vertex(self, side: Side, x: int) -> None:
         """Extend ``side`` so vertex id ``x`` exists (isolated if new)."""
-        self._grow(side, x)
-
-    def bit_row(self, side: Side, x: int) -> int:
-        """The big-int mask row of ``x`` over the opposite bit space."""
-        return self._bit_rows[side][x]
-
-    def word_row(self, side: Side, x: int) -> array:
-        """The ``array('Q')`` word row of ``x`` (shared, do not mutate)."""
-        return self._word_rows[side][x]
+        rows = self._adj[side]
+        while x >= len(rows):
+            rows.append(set())
 
     def stats(self) -> dict:
         """JSON-friendly patching counters."""
-        return {
-            "patches": self.patch_count,
-            "repacks": self.repack_count,
-            "drift": self.drift,
-            "churn_budget": self.churn_budget,
-        }
+        return {"patches": self.patch_count, "repacks": self.repack_count}
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert edge ``(u, v)``; returns False for a no-op."""
-        self._grow(Side.UPPER, u)
-        self._grow(Side.LOWER, v)
+        self.ensure_vertex(Side.UPPER, u)
+        self.ensure_vertex(Side.LOWER, v)
         if v in self._adj[Side.UPPER][u]:
             return False
         self._adj[Side.UPPER][u].add(v)
@@ -145,7 +108,7 @@ class DynamicPackedAdjacency:
         self._edges += 1
         self._snap_dirty[Side.UPPER].add(u)
         self._snap_dirty[Side.LOWER].add(v)
-        self._patch(u, v, set_bit=True)
+        self.patch_count += 2
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
@@ -157,12 +120,8 @@ class DynamicPackedAdjacency:
         self._edges -= 1
         self._snap_dirty[Side.UPPER].add(u)
         self._snap_dirty[Side.LOWER].add(v)
-        self._patch(u, v, set_bit=False)
+        self.patch_count += 2
         return True
-
-    def force_repack(self) -> None:
-        """Recompute the bit order and re-pack every row now."""
-        self._repack()
 
     # ------------------------------------------------------------------
     # Extraction
@@ -242,12 +201,19 @@ class DynamicPackedAdjacency:
         )
         return local
 
-    def snapshot(self) -> BipartiteGraph:
+    def snapshot(
+        self,
+        labels: dict[Side, tuple[Hashable, ...] | None] | None = None,
+        label_ids: dict[Side, dict[Hashable, int] | None] | None = None,
+    ) -> BipartiteGraph:
         """An immutable :class:`BipartiteGraph` of the current state.
 
         Incremental: sorted rows are cached between calls and only the
         vertices touched since the previous snapshot are re-sorted, so
         a steady-state update batch pays O(affected · deg), not O(E).
+        ``labels``/``label_ids`` (one entry per side, covering every
+        current vertex) are attached as the snapshot's labels and its
+        label→id map, so a caller can carry them across snapshots.
         """
         if self._snap_rows is None:
             self._snap_rows = {
@@ -268,17 +234,18 @@ class DynamicPackedAdjacency:
             tuple(self._snap_rows[Side.UPPER]),
             tuple(self._snap_rows[Side.LOWER]),
             self._edges,
+            labels=labels,
+            label_ids=label_ids,
         )
 
     # ------------------------------------------------------------------
     # Serialization (differential-test surface)
     # ------------------------------------------------------------------
     def canonical_bytes(self) -> bytes:
-        """Id-space serialization, independent of the packed bit order.
+        """Id-space serialization of the adjacency.
 
         Equal across any two instances holding the same graph, no
-        matter how they got there (patched vs rebuilt) or how far the
-        bit order has drifted.
+        matter how they got there (patched vs rebuilt).
         """
         out = bytearray()
         out += len(self._adj[Side.UPPER]).to_bytes(8, "big")
@@ -289,94 +256,3 @@ class DynamicPackedAdjacency:
                 out += v.to_bytes(4, "big")
         return bytes(out)
 
-    def packed_bytes(self) -> bytes:
-        """Bit-space serialization of orders and mask rows.
-
-        Equal to a from-scratch instance's only when the bit order is
-        fresh — i.e. after :meth:`force_repack`.
-        """
-        out = bytearray()
-        for side in Side:
-            order = self._order[side]
-            out += len(order).to_bytes(8, "big")
-            for x in order:
-                out += x.to_bytes(4, "big")
-            width = (len(self._adj[side.other]) + 7) // 8
-            for row in self._bit_rows[side]:
-                out += row.to_bytes(width, "big")
-        return bytes(out)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _grow(self, side: Side, x: int) -> None:
-        while x >= len(self._adj[side]):
-            bit = len(self._order[side])
-            self._adj[side].append(set())
-            self._order[side].append(len(self._adj[side]) - 1)
-            self._rank[side].append(bit)
-            self._bit_rows[side].append(0)
-            self._word_rows[side].append(array("Q"))
-            self._packed_deg[side].append(0)
-
-    def _patch(self, u: int, v: int, set_bit: bool) -> None:
-        bu = self._rank[Side.UPPER][u]
-        bv = self._rank[Side.LOWER][v]
-        if set_bit:
-            self._bit_rows[Side.UPPER][u] |= 1 << bv
-            self._bit_rows[Side.LOWER][v] |= 1 << bu
-        else:
-            self._bit_rows[Side.UPPER][u] &= ~(1 << bv)
-            self._bit_rows[Side.LOWER][v] &= ~(1 << bu)
-        for side, x, bit in (
-            (Side.UPPER, u, bv),
-            (Side.LOWER, v, bu),
-        ):
-            row = self._word_rows[side][x]
-            idx = bit >> 6
-            while idx >= len(row):
-                row.append(0)
-            if set_bit:
-                row[idx] |= 1 << (bit & 63)
-            else:
-                row[idx] &= ~(1 << (bit & 63)) & 0xFFFFFFFFFFFFFFFF
-        self.patch_count += 2
-        for side, x in ((Side.UPPER, u), (Side.LOWER, v)):
-            deg = len(self._adj[side][x])
-            packed = self._packed_deg[side][x]
-            before = deg - 1 if set_bit else deg + 1
-            self.drift += abs(deg - packed) - abs(before - packed)
-        if self.drift > self.churn_budget:
-            self._repack()
-
-    def _repack(self) -> None:
-        for side in Side:
-            adj = self._adj[side]
-            order = sorted(
-                range(len(adj)), key=lambda i: len(adj[i]), reverse=True
-            )
-            rank = [0] * len(order)
-            for bit, x in enumerate(order):
-                rank[x] = bit
-            self._order[side] = order
-            self._rank[side] = rank
-            self._packed_deg[side] = [len(ns) for ns in adj]
-        for side in Side:
-            other_rank = self._rank[side.other]
-            bit_rows: list[int] = []
-            word_rows: list[array] = []
-            for ns in self._adj[side]:
-                mask = 0
-                for w in ns:
-                    mask |= 1 << other_rank[w]
-                bit_rows.append(mask)
-                words = array("Q")
-                rest = mask
-                while rest:
-                    words.append(rest & 0xFFFFFFFFFFFFFFFF)
-                    rest >>= 64
-                word_rows.append(words)
-            self._bit_rows[side] = bit_rows
-            self._word_rows[side] = word_rows
-        self.drift = 0
-        self.repack_count += 1

@@ -9,16 +9,12 @@ by the hardware-oriented literature the paper cites.
 These are the *reference* implementations the differential suite
 checks the production ``"balanced"`` objective
 (:mod:`repro.objectives`) against — for actual queries, pass
-``objective="balanced"`` to any query surface instead.  The historical
-``maximum_balanced_biclique`` / ``greedy_balanced_biclique`` entry
-points are deprecated aliases.
+``objective="balanced"`` to any query surface instead.
 """
 
 from repro.mbb.balanced import (
     balanced_biclique_reference,
-    greedy_balanced_biclique,
     greedy_balanced_heuristic,
-    maximum_balanced_biclique,
     personalized_balanced_reference,
 )
 
@@ -26,6 +22,4 @@ __all__ = [
     "balanced_biclique_reference",
     "personalized_balanced_reference",
     "greedy_balanced_heuristic",
-    "maximum_balanced_biclique",
-    "greedy_balanced_biclique",
 ]

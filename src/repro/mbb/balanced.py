@@ -23,14 +23,10 @@ literature the paper cites, refs [19]-[20]): repeatedly delete an
 endpoint of some missing pair, preferring the vertex covering the most
 missing pairs, until the remaining subgraph is complete; then trim the
 larger layer.
-
-The historical ``maximum_balanced_biclique`` /
-``greedy_balanced_biclique`` names remain as deprecated aliases.
 """
 
 from __future__ import annotations
 
-import warnings
 
 from repro.core.result import Biclique
 from repro.corenum.peeling import alpha_beta_core, max_delta
@@ -194,29 +190,3 @@ def _deletion_loop(
         lower=frozenset(sorted(lower)[:k]),
     )
 
-
-# ----------------------------------------------------------------------
-# deprecated aliases (pre-objective entry points)
-
-
-def maximum_balanced_biclique(graph: BipartiteGraph) -> Biclique | None:
-    """Deprecated alias of :func:`balanced_biclique_reference`."""
-    warnings.warn(
-        "maximum_balanced_biclique is deprecated; use "
-        "balanced_biclique_reference (or objective='balanced' on any "
-        "query surface for personalized searches)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return balanced_biclique_reference(graph)
-
-
-def greedy_balanced_biclique(graph: BipartiteGraph) -> Biclique | None:
-    """Deprecated alias of :func:`greedy_balanced_heuristic`."""
-    warnings.warn(
-        "greedy_balanced_biclique is deprecated; use "
-        "greedy_balanced_heuristic",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return greedy_balanced_heuristic(graph)

@@ -9,6 +9,9 @@ online search) into a shared, instrumented service:
   (see :mod:`repro.exec`), a vertex-grouped batch path
   (:meth:`~repro.serve.service.PMBCService.query_batch`), and
   index → execution → online degradation;
+- :class:`~repro.serve.live.LiveGraph` — the streaming-update state a
+  deployment shares (adjacency, incremental bounds, index repair,
+  labelled snapshots), applying each ``POST /update`` batch once;
 - :class:`~repro.serve.server.PMBCServer` — ``http.server`` JSON
   front-end (``/query``, ``/query_batch``, ``/healthz``,
   ``/metrics``, ``/stats``), one thread per connection;

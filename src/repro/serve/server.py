@@ -347,8 +347,14 @@ class PMBCRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # Head and body leave in one write: flushing the head first
+        # (end_headers) would let Nagle's algorithm hold the body until
+        # the client's delayed ACK on a keep-alive connection.
+        head = getattr(self, "_headers_buffer", [])  # none on HTTP/0.9
+        if head:
+            head.append(b"\r\n")
+        self.wfile.write(b"".join(head) + body)
+        self._headers_buffer = []
 
     def _send_json(
         self,

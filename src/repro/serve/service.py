@@ -6,17 +6,23 @@
 :func:`~repro.core.online.pmbc_online_star`) into a shared service
 suitable for heavy concurrent traffic:
 
-- a **bounded request queue** with admission control — when the queue
-  is full new requests are rejected immediately
-  (:class:`QueueFullError`, the HTTP front-end maps it to 429) instead
-  of building an unbounded backlog;
+- **one request pipeline**: a single query is a batch of one.  Every
+  admission — :meth:`PMBCService.query`/:meth:`~PMBCService.admit` for
+  one :class:`~repro.core.query.QueryRequest`,
+  :meth:`~PMBCService.query_batch`/:meth:`~PMBCService.admit_batch`
+  for many — takes one slot in a **bounded queue** (a full queue
+  rejects at once with :class:`QueueFullError`, which the HTTP
+  front-end maps to 429) and is answered by one walk of the backend
+  chain; within a batch, requests are grouped by query vertex so
+  shared two-hop extractions and the once-per-graph core bounds are
+  amortized;
 - a **worker pool** draining the queue, so one shared engine (and its
   two-hop LRU) serves every caller;
 - **per-request deadlines** with cooperative timeout: expired requests
   are dropped at dequeue time without touching the backend, and
   waiting callers get :class:`DeadlineExceededError` as soon as their
   budget runs out even if a worker is still computing;
-- **single-flight deduplication** of identical concurrent
+- **single-flight deduplication** of identical concurrent single
   ``(side, vertex, tau_u, tau_l, objective)`` requests (see
   :mod:`repro.serve.singleflight`);
 - **pluggable execution** (see :mod:`repro.exec`): the CPU-bound
@@ -24,14 +30,11 @@ suitable for heavy concurrent traffic:
   (``execution="thread"``, the GIL-bound default) or on a process pool
   whose workers inherited the graph once (``execution="process"``,
   real-core parallelism);
-- a **batch path** (:meth:`PMBCService.query_batch`): one admission
-  for many :class:`~repro.core.query.QueryRequest`, grouped by query
-  vertex so shared two-hop extractions and the once-per-graph core
-  bounds are amortized across the whole batch;
-- **graceful degradation** across backends: adaptive partial index
-  (when enabled) → index → execution backend → caching engine → plain
-  online search, falling through on unexpected backend failure; a
-  partial-index *miss* (vertex not resident) falls through cleanly
+- **graceful degradation** across a list of backends, each answering
+  ``answer(requests) -> answers | MISS``: adaptive partial index (when
+  enabled) → index → execution backend → caching engine → plain online
+  search, falling through on unexpected backend failure; a MISS
+  (vertex not resident, objective not indexable) falls through cleanly
   without counting as a failure;
 - an optional **traffic-adaptive partial index**
   (``ServiceConfig(adaptive=True)``, see :mod:`repro.adaptive`):
@@ -39,16 +42,10 @@ suitable for heavy concurrent traffic:
   constructs hot vertices' search trees off the request path under a
   byte budget, and the resulting trees serve the head of the traffic
   distribution at index speed;
-- **streaming graph updates** (:meth:`PMBCService.update_batch`): edge
-  insertions/deletions applied against the live service with
-  incremental (α,β)-core repair
-  (:class:`~repro.corenum.incremental.IncrementalCoreBounds`), scoped
-  invalidation of engine cache / partial index / mounted index trees
-  via :func:`~repro.core.dynamic.edge_affected_sets`, and a two-phase
-  ordering that keeps concurrent queries sound: inserts repair bounds
-  *before* the graph swap (raised bounds are still valid upper bounds
-  for the old graph), deletions swap *before* repairing (the old
-  bounds stay valid-looser for the shrunk graph);
+- **streaming graph updates** (:meth:`PMBCService.update_batch`),
+  applied by the deployment's :class:`~repro.serve.live.LiveGraph`,
+  which hands each post-update snapshot and its affected vertices back
+  to the service to swap in and evict;
 - **metrics** for all of the above (see :mod:`repro.serve.metrics`).
 """
 
@@ -58,35 +55,39 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from contextlib import nullcontext
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.adaptive.builder import BackgroundBuilder
 from repro.adaptive.hotset import HotSetTracker
 from repro.adaptive.partial import MISS, PartialIndex
-from repro.core.construction import build_search_tree
-from repro.core.dynamic import edge_affected_sets
 from repro.core.engine import PMBCQueryEngine
-from repro.core.index import PMBCIndex, SearchTree
+from repro.core.index import PMBCIndex
 from repro.core.online import pmbc_online_star
 from repro.core.query import QueryRequest, pmbc_index_query
 from repro.core.result import Biclique
-from repro.corenum.incremental import IncrementalCoreBounds
 from repro.exec.executor import (
     EXECUTION_KINDS,
-    Executor,
     ThreadBackend,
     create_executor,
 )
 from repro.exec.tasks import WorkerState
 from repro.graph.bipartite import BipartiteGraph, Side
-from repro.kernel import KERNEL_KINDS, is_packed_kernel
-from repro.kernel.dynadj import DynamicPackedAdjacency
+from repro.kernel import KERNEL_KINDS
 from repro.objectives import get_objective, objective_kinds
 from repro.obs.metrics_bridge import publish_trace, register_search_metrics
 from repro.obs.ring import TraceRing
 from repro.obs.trace import PRUNE_RULES, SearchTrace, current_trace, use_trace
+from repro.serve.errors import (
+    BackendError,
+    DeadlineExceededError,
+    InvalidRequestError,
+    QueueFullError,
+    ServeError,
+    ServiceClosedError,
+)
+from repro.serve.live import LiveGraph, UpdateResult
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.singleflight import SingleFlight, SingleFlightTimeout
 
@@ -104,43 +105,6 @@ __all__ = [
     "ServiceClosedError",
     "BackendError",
 ]
-
-
-class ServeError(Exception):
-    """Base class for service-level failures."""
-
-    #: HTTP status the front-end reports for this error class.
-    http_status = 500
-
-
-class InvalidRequestError(ServeError):
-    """Malformed request: unknown side, vertex out of range, bad taus."""
-
-    http_status = 400
-
-
-class QueueFullError(ServeError):
-    """Admission control rejected the request (queue at capacity)."""
-
-    http_status = 429
-
-
-class DeadlineExceededError(ServeError):
-    """The request's deadline expired before an answer was produced."""
-
-    http_status = 504
-
-
-class ServiceClosedError(ServeError):
-    """The service is shut down (or shutting down)."""
-
-    http_status = 503
-
-
-class BackendError(ServeError):
-    """Every backend in the degradation chain failed."""
-
-    http_status = 500
 
 
 @dataclass(frozen=True)
@@ -169,7 +133,7 @@ class ServiceConfig:
         (PMBC-OL* mode).  Disable for faster startup on huge graphs.
     execution:
         Where the CPU-bound search runs: ``"thread"`` (in the worker
-        threads, PR 1 behaviour) or ``"process"`` (a
+        threads) or ``"process"`` (a
         :class:`repro.exec.ProcessBackend` pool — real cores, at the
         price of per-worker caches).  See docs/execution.md.
     exec_workers:
@@ -300,47 +264,20 @@ class BatchResult:
         return len(self.bicliques)
 
 
-@dataclass(frozen=True)
-class UpdateResult:
-    """The outcome of one applied update batch."""
-
-    applied: int            # effective edge mutations (net of collapses)
-    noops: int              # requested updates that changed nothing
-    inserts: int            # effective insertions
-    deletes: int            # effective deletions
-    trees_repaired: int     # mounted-index trees rebuilt in place
-    evicted: int            # partial-index trees dropped
-    cascade: int            # vertices touched by bound-repair cascades
-    seconds: float          # wall time of the whole batch
-    shard: int | None = None    # applying shard (sharded deployments)
-
-
 @dataclass
 class _Request:
-    request: QueryRequest
-    deadline: float | None          # absolute, time.monotonic() clock
-    enqueued_at: float
-    explain: bool = False
-    future: Future = field(default_factory=Future)
+    """One admitted unit of work: a batch, or a single (a batch of one).
 
-    @property
-    def key(self) -> tuple[Side, int, int, int, str]:
-        return self.request.key
+    ``single`` keeps what is specific to singles: single-flight, the
+    ``kind="query"`` trace, and a :class:`QueryResult` answer.
+    """
 
-    def remaining(self, now: float) -> float | None:
-        return None if self.deadline is None else self.deadline - now
-
-
-@dataclass
-class _BatchRequest:
     requests: tuple[QueryRequest, ...]
+    single: bool
     deadline: float | None          # absolute, time.monotonic() clock
     enqueued_at: float
     explain: bool = False
     future: Future = field(default_factory=Future)
-
-    def remaining(self, now: float) -> float | None:
-        return None if self.deadline is None else self.deadline - now
 
 
 @dataclass
@@ -351,8 +288,8 @@ class Submission:
     :class:`BatchResult` (or raises the terminal :class:`ServeError`).
     Async front-ends wrap it with :func:`asyncio.wrap_future` and, when
     their own wait times out, call :meth:`expire` to race the worker
-    for the terminal outcome — exactly the settle race the blocking
-    :meth:`PMBCService.query` path runs.
+    for the terminal outcome — exactly the settle race :meth:`result`
+    runs for blocking callers.
 
     Attributes
     ----------
@@ -379,156 +316,60 @@ class Submission:
             return False
         return self._expire()
 
+    def result(self) -> QueryResult | BatchResult:
+        """Block for the answer within :attr:`budget`.
 
-class _PartialBackend:
-    """The adaptive partial index: hot vertices at index speed.
+        Raises :class:`DeadlineExceededError` once the budget runs out,
+        even if a worker is still computing; the abandoned computation
+        finishes in the background and only warms the caches.
+        """
+        try:
+            return self.future.result(timeout=self.budget)
+        except FutureTimeoutError:
+            if self.expire():
+                raise DeadlineExceededError(
+                    f"no answer within {self.budget}s"
+                ) from None
+            # The worker settled in the same instant; take its outcome.
+            return self.future.result()
 
-    A query for a vertex without a resident tree answers
-    :data:`repro.adaptive.MISS`, which the degradation walk treats as
-    a clean fall-through to the next backend — not a failure, so the
-    fallback counter stays untouched.  Requests for objectives the
-    PMBC index storage model cannot answer decline the same way.
+
+@dataclass(frozen=True)
+class _Backend:
+    """One tier of the degradation chain.
+
+    ``answer(requests)`` returns one answer per request, in order, or
+    :data:`repro.adaptive.MISS` to fall through to the next tier.
     """
 
-    name = "partial"
+    name: str
+    answer: Callable
 
-    def __init__(self, partial: PartialIndex) -> None:
-        self.partial = partial
 
-    def query(self, request: QueryRequest) -> Biclique | None:
-        if not get_objective(request.objective).index_compatible:
-            return MISS
-        return self.partial.lookup(
-            request.side, request.vertex, request.tau_u, request.tau_l
-        )
+class _LookupBackend:
+    """A precomputed-tree tier: the adaptive partial index or the index.
 
-    def query_batch(self, requests):
-        # All-or-MISS: a batch is answered here only when every request
-        # hits a resident tree; otherwise the whole batch falls through
-        # so it stays a single backend walk.
+    Answers a request tuple all-or-MISS, so a batch stays a single
+    backend walk: one vertex without a resident tree, or one objective
+    the PMBC index storage model cannot answer, sends the whole tuple
+    to the next tier.
+    """
+
+    def __init__(self, name: str, lookup: Callable) -> None:
+        self.name = name
+        self._lookup = lookup
+
+    def answer(self, requests):
+        """Look every request up, or MISS."""
         answers = []
-        for r in requests:
-            answer = self.query(r)
+        for request in requests:
+            if not get_objective(request.objective).index_compatible:
+                return MISS
+            answer = self._lookup(request)
             if answer is MISS:
                 return MISS
             answers.append(answer)
         return answers
-
-
-class _IndexBackend:
-    """PMBC-IQ over a prebuilt index: the O(deg(q)+|C|) fast path.
-
-    The index stores edge-count (PMBC) maxima only, so requests for
-    other objectives decline with :data:`repro.adaptive.MISS` and fall
-    through to the online tiers instead of answering the wrong family.
-    """
-
-    name = "index"
-
-    def __init__(self, index: PMBCIndex) -> None:
-        self._index = index
-
-    def query(self, request: QueryRequest) -> Biclique | None:
-        if not get_objective(request.objective).index_compatible:
-            return MISS
-        return pmbc_index_query(self._index, request)
-
-    def query_batch(self, requests):
-        # Index lookups touch no two-hop subgraphs; a plain loop is
-        # already the optimal batch plan.  All-or-MISS on objective so
-        # mixed batches stay a single backend walk downstream.
-        answers = []
-        for r in requests:
-            answer = self.query(r)
-            if answer is MISS:
-                return MISS
-            answers.append(answer)
-        return answers
-
-
-class _ExecBackend:
-    """The execution substrate (thread or process pool).
-
-    With a :class:`~repro.exec.ThreadBackend` this runs the shared
-    engine in the calling worker thread — behaviourally identical to
-    querying the engine directly, so it reports as ``"engine"``.  With
-    a :class:`~repro.exec.ProcessBackend` it ships work items to the
-    pool and reports as ``"process"``.
-    """
-
-    def __init__(self, executor: Executor) -> None:
-        self.executor = executor
-        self.name = "engine" if executor.kind == "thread" else "process"
-
-    def query(self, request: QueryRequest) -> Biclique | None:
-        if self.executor.kind != "process":
-            # Thread execution runs in the calling thread, so the
-            # active trace propagates through the context variable.
-            return self.executor.run("query", request)
-        # The pool worker traces in its own address space and ships the
-        # summary back with the answer for the parent trace to absorb.
-        answer, summary = self.executor.run("query_traced", request)
-        trace = current_trace()
-        if trace.enabled:
-            trace.merge_summary(summary)
-        return answer
-
-    def query_batch(self, requests) -> list[Biclique | None]:
-        if self.executor.kind != "process":
-            return self.executor.run("query_batch", list(requests))
-        answers, summary = self.executor.run(
-            "query_batch_traced", list(requests)
-        )
-        trace = current_trace()
-        if trace.enabled:
-            trace.merge_summary(summary)
-        return answers
-
-
-class _EngineBackend:
-    """The shared caching engine (PMBC-OL* + two-hop LRU)."""
-
-    name = "engine"
-
-    def __init__(self, engine: PMBCQueryEngine) -> None:
-        self.engine = engine
-
-    def query(self, request: QueryRequest) -> Biclique | None:
-        return self.engine.query(request)
-
-    def query_batch(self, requests) -> list[Biclique | None]:
-        return self.engine.query_batch(requests)
-
-
-class _OnlineBackend:
-    """Stateless PMBC-OL*: the last-resort fallback."""
-
-    name = "online"
-
-    def __init__(self, graph: BipartiteGraph, bounds=None, kernel=None) -> None:
-        self._graph = graph
-        self._bounds = bounds
-        self._kernel = kernel
-
-    def update_graph(self, graph: BipartiteGraph) -> None:
-        """Swap onto a post-update snapshot (bounds repaired in place)."""
-        self._graph = graph
-
-    def query(self, request: QueryRequest) -> Biclique | None:
-        return pmbc_online_star(
-            self._graph, request, bounds=self._bounds, kernel=self._kernel
-        )
-
-    def query_batch(self, requests) -> list[Biclique | None]:
-        from repro.core.online import pmbc_online_batch
-
-        return pmbc_online_batch(
-            self._graph,
-            requests,
-            bounds=self._bounds,
-            use_core_bounds=self._bounds is not None,
-            kernel=self._kernel,
-        )
 
 
 class PMBCService:
@@ -551,6 +392,10 @@ class PMBCService:
         for ``graph``; when given the engine adopts them instead of
         recomputing.  Sharded deployments (:mod:`repro.shard`) compute
         the bounds once and hand the same object to every shard.
+    live:
+        Optional :class:`~repro.serve.live.LiveGraph` to share with
+        other services (it must hold the same ``bounds`` and
+        ``index``); by default the service builds its own.
 
     Use as a context manager, or call :meth:`start` / :meth:`close`::
 
@@ -565,6 +410,7 @@ class PMBCService:
         config: ServiceConfig | None = None,
         metrics: MetricsRegistry | None = None,
         bounds=None,
+        live: LiveGraph | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.graph = graph
@@ -590,47 +436,32 @@ class PMBCService:
             )
         else:
             # Thread execution runs in the serving worker threads
-            # against the shared engine (and its LRU) — PR 1 behaviour.
-            self._executor = ThreadBackend(
-                graph,
-                num_workers=exec_workers,
-                metrics=self.metrics,
-                state=WorkerState(
-                    graph=graph,
-                    bounds=self.engine.bounds,
-                    cache_size=self.config.cache_size,
-                    kernel=self.engine.kernel,
-                    _engine=self.engine,
-                ),
+            # against the shared engine (and its LRU).
+            self._executor = self._thread_executor(
+                graph, exec_workers, self.metrics
             )
-        self._backends: list[object] = []
-        self._index_backend: _IndexBackend | None = None
+        self._fallback_executor: ThreadBackend | None = None
+        self._exec_degraded = False
+
+        #: The degradation chain, tried in order.  Each backend has a
+        #: ``name`` and ``answer(requests) -> answers | MISS``.
+        self.backends: list = []
         if index is not None:
-            self._index_backend = _IndexBackend(index)
-            self._backends.append(self._index_backend)
-        self._exec_backend = _ExecBackend(self._executor)
-        self._backends.append(self._exec_backend)
+            self.backends.append(
+                _LookupBackend(
+                    "index", lambda r: pmbc_index_query(index, r)
+                )
+            )
+        self._exec_backend = _Backend(
+            "engine" if self._executor.kind == "thread" else "process",
+            self._run_exec,
+        )
+        self.backends.append(self._exec_backend)
         if self._executor.kind == "process":
             # Keep the in-process engine as a degradation target in
             # case the pool breaks mid-flight.
-            self._backends.append(_EngineBackend(self.engine))
-        self._online_backend = _OnlineBackend(
-            graph, bounds=self.engine.bounds, kernel=self.engine.kernel
-        )
-        self._backends.append(self._online_backend)
-
-        # Streaming-update state, built lazily on the first update (the
-        # incremental maintainer re-peels the sweep family once, which
-        # costs one compute_bounds; read-only deployments never pay it).
-        self._updater: IncrementalCoreBounds | None = None
-        self._dynadj: DynamicPackedAdjacency | None = None
-        self._mirror: dict[Side, list[set[int]]] | None = None
-        self._update_lock = threading.Lock()
-        self._exec_degraded = False
-        self._fallback_executor: ThreadBackend | None = None
-        #: ``(side, vertex)`` keys the most recent update batch affected
-        #: (the shard router fans them to the other shards' warm state).
-        self.last_update_affected: frozenset[tuple[Side, int]] = frozenset()
+            self.backends.append(_Backend("engine", self.engine.query_batch))
+        self.backends.append(_Backend("online", self._run_online))
 
         self._prebuilt_coverage: dict | None = None
         if index is not None:
@@ -647,8 +478,8 @@ class PMBCService:
                 "bytes": index.total_size_bytes(),
             }
 
-        self._queue: queue.Queue[_Request | _BatchRequest | None] = (
-            queue.Queue(maxsize=self.config.max_queue)
+        self._queue: queue.Queue[_Request | None] = queue.Queue(
+            maxsize=self.config.max_queue
         )
         self.traces = TraceRing(self.config.trace_ring_size)
         self._flight = SingleFlight()
@@ -684,9 +515,74 @@ class PMBCService:
             # The partial tier answers hot vertices ahead of every
             # other backend; misses fall through to the rest of the
             # chain.
-            self._backends.insert(0, _PartialBackend(self.partial_index))
+            partial = self.partial_index
+            self.backends.insert(
+                0,
+                _LookupBackend(
+                    "partial",
+                    lambda r: partial.lookup(
+                        r.side, r.vertex, r.tau_u, r.tau_l
+                    ),
+                ),
+            )
 
         self._init_metrics()
+        if live is None:
+            live = LiveGraph(
+                graph,
+                bounds=self.engine.bounds,
+                index=index,
+                kernel=self.engine.kernel,
+                metrics=self.metrics,
+            )
+        #: The update state this service serves from (shared across
+        #: the shards of a sharded deployment).
+        self.live = live
+        live.attach(self)
+
+    def _thread_executor(
+        self,
+        graph: BipartiteGraph,
+        num_workers: int,
+        metrics: MetricsRegistry | None = None,
+    ) -> ThreadBackend:
+        return ThreadBackend(
+            graph,
+            num_workers=num_workers,
+            metrics=metrics,
+            state=WorkerState(
+                graph=graph,
+                bounds=self.engine.bounds,
+                cache_size=self.config.cache_size,
+                kernel=self.engine.kernel,
+                _engine=self.engine,
+            ),
+        )
+
+    def _run_exec(self, requests) -> list[Biclique | None]:
+        if self._executor.kind != "process":
+            # Thread execution runs in the calling thread, so the
+            # active trace propagates through the context variable.
+            return self._executor.run("query_batch", requests)
+        # The pool worker traces in its own address space and ships the
+        # summary back with the answers for the parent trace to absorb.
+        answers, summary = self._executor.run("query_batch_traced", requests)
+        trace = current_trace()
+        if trace.enabled:
+            trace.merge_summary(summary)
+        return answers
+
+    def _run_online(self, requests) -> list[Biclique | None]:
+        """Stateless PMBC-OL* on the current graph: the last resort."""
+        return [
+            pmbc_online_star(
+                self.graph,
+                request,
+                bounds=self.engine.bounds,
+                kernel=self.engine.kernel,
+            )
+            for request in requests
+        ]
 
     def _warm_restart(self) -> int:
         """Re-warm the partial index from a persisted hot set.
@@ -841,30 +737,9 @@ class PMBCService:
         self._batch_size = m.histogram(
             "pmbc_batch_size", "Requests per admitted batch."
         )
-        self._updates = m.counter(
-            "pmbc_updates_total", "Edge updates by kind (insert/delete/noop)."
-        )
-        self._update_batches = m.counter(
-            "pmbc_update_batches_total", "Applied update batches."
-        )
-        self._update_cascade = m.counter(
-            "pmbc_update_cascade_vertices_total",
-            "Vertices touched by incremental bound-repair cascades.",
-        )
-        self._update_trees = m.counter(
-            "pmbc_update_trees_repaired_total",
-            "Mounted-index search trees rebuilt by updates.",
-        )
-        self._update_repacks = m.counter(
-            "pmbc_update_repacks_total",
-            "Full re-packs of the dynamic packed adjacency.",
-        )
         self._update_evictions = m.counter(
             "pmbc_update_partial_evictions_total",
             "Partial-index trees evicted by updates.",
-        )
-        self._update_latency = m.histogram(
-            "pmbc_update_batch_seconds", "Wall time per applied update batch."
         )
         depth = m.gauge("pmbc_queue_depth", "Requests waiting in the queue.")
         depth.set_function(self._queue.qsize)
@@ -919,7 +794,7 @@ class PMBCService:
 
     def _settle(
         self,
-        request: _Request | _BatchRequest,
+        request: _Request,
         status: str,
         result: QueryResult | BatchResult | None = None,
         error: Exception | None = None,
@@ -957,13 +832,13 @@ class PMBCService:
                 f"vertex {vertex} out of range for the {side.value} layer"
             )
 
-    def _coerce(
+    def _coerce_single(
         self,
         side: Side | QueryRequest,
         vertex: int | None,
         tau_u: int,
         tau_l: int,
-    ) -> QueryRequest:
+    ) -> tuple[QueryRequest]:
         """Normalize raw arguments or a :class:`QueryRequest`.
 
         The raw-argument surface deliberately rejects non-``Side``
@@ -975,50 +850,27 @@ class PMBCService:
                 raise InvalidRequestError(
                     "pass either a QueryRequest or raw arguments, not both"
                 )
-            request = side
-            self._validate(
-                request.side, request.vertex, request.tau_u, request.tau_l
-            )
-            return request
+            self._validate(side.side, side.vertex, side.tau_u, side.tau_l)
+            return (side,)
         if vertex is None:
             raise InvalidRequestError("query vertex is required")
         self._validate(side, vertex, tau_u, tau_l)
-        return QueryRequest(side, vertex, tau_u, tau_l)
+        return (QueryRequest(side, vertex, tau_u, tau_l),)
 
-    def submit(
-        self,
-        side: Side | QueryRequest,
-        vertex: int | None = None,
-        tau_u: int = 1,
-        tau_l: int = 1,
-        deadline: float | None = None,
-        explain: bool = False,
-    ) -> Future:
-        """Admit a request; the Future resolves to a :class:`QueryResult`.
-
-        Accepts either raw ``(side, vertex, tau_u, tau_l)`` arguments
-        or a single :class:`~repro.core.query.QueryRequest`.  Raises
-        immediately on invalid input, a full queue, or a closed
-        service — admission failures never consume a queue slot.  With
-        ``explain=True`` the result carries the computation's trace
-        summary in :attr:`QueryResult.trace`.
-        """
-        return self._admit(
-            side, vertex, tau_u, tau_l, deadline, explain
-        ).future
-
-    def submit_batch(
-        self,
-        requests,
-        deadline: float | None = None,
-        explain: bool = False,
-    ) -> Future:
-        """Admit a batch; the Future resolves to a :class:`BatchResult`.
-
-        The non-blocking counterpart of :meth:`query_batch`; admission
-        failures raise immediately, exactly as :meth:`submit`.
-        """
-        return self._admit_batch(requests, deadline, explain).future
+    def _coerce_batch(self, requests) -> tuple[QueryRequest, ...]:
+        coerced = []
+        for raw in requests:
+            try:
+                request = QueryRequest.of(raw)
+            except (TypeError, ValueError) as exc:
+                raise InvalidRequestError(str(exc)) from None
+            self._validate(
+                request.side, request.vertex, request.tau_u, request.tau_l
+            )
+            coerced.append(request)
+        if not coerced:
+            raise InvalidRequestError("batch must contain >= 1 request")
+        return tuple(coerced)
 
     def admit(
         self,
@@ -1029,25 +881,22 @@ class PMBCService:
         deadline: float | None = None,
         explain: bool = False,
     ) -> Submission:
-        """Admit a request and return a :class:`Submission` handle.
+        """Admit one request and return a :class:`Submission` handle.
 
-        Like :meth:`submit`, but the handle additionally exposes
-        :meth:`Submission.expire` so non-blocking callers (the asyncio
-        front-end, the shard router) can run the same deadline settle
-        race :meth:`query` runs internally.
+        Accepts either raw ``(side, vertex, tau_u, tau_l)`` arguments
+        or a single :class:`~repro.core.query.QueryRequest`; the handle's
+        future resolves to a :class:`QueryResult`.  Raises immediately
+        on invalid input, a full queue, or a closed service — admission
+        failures never consume a queue slot.  With ``explain=True`` the
+        result carries the computation's trace summary in
+        :attr:`QueryResult.trace` (a single-flight follower gets the
+        leader's trace).
         """
-        request = self._admit(side, vertex, tau_u, tau_l, deadline, explain)
-        budget = self.config.default_deadline if deadline is None else deadline
-
-        def _expire() -> bool:
-            return self._settle(
-                request,
-                "deadline_exceeded",
-                error=DeadlineExceededError(f"no answer within {budget}s"),
-            )
-
-        return Submission(
-            future=request.future, budget=budget, _expire=_expire
+        return self._admit(
+            lambda: self._coerce_single(side, vertex, tau_u, tau_l),
+            True,
+            deadline,
+            explain,
         )
 
     def admit_batch(
@@ -1056,71 +905,14 @@ class PMBCService:
         deadline: float | None = None,
         explain: bool = False,
     ) -> Submission:
-        """Admit a batch and return a :class:`Submission` handle."""
-        batch = self._admit_batch(requests, deadline, explain)
-        budget = self.config.default_deadline if deadline is None else deadline
+        """Admit a batch and return a :class:`Submission` handle.
 
-        def _expire() -> bool:
-            return self._settle(
-                batch,
-                "deadline_exceeded",
-                error=DeadlineExceededError(
-                    f"no batch answer within {budget}s"
-                ),
-            )
-
-        return Submission(future=batch.future, budget=budget, _expire=_expire)
-
-    def _admit(
-        self,
-        side: Side | QueryRequest,
-        vertex: int | None,
-        tau_u: int,
-        tau_l: int,
-        deadline: float | None,
-        explain: bool = False,
-    ) -> _Request:
-        if self._closed:
-            self._requests.inc(status="closed")
-            raise ServiceClosedError("service is closed")
-        if not self._workers:
-            raise ServiceClosedError("service not started (call start())")
-        try:
-            query_request = self._coerce(side, vertex, tau_u, tau_l)
-        except InvalidRequestError:
-            self._requests.inc(status="invalid")
-            raise
-        budget = self.config.default_deadline if deadline is None else deadline
-        if budget is not None and budget <= 0:
-            self._requests.inc(status="invalid")
-            raise InvalidRequestError(
-                f"deadline must be positive, got {budget}"
-            )
-        now = time.monotonic()
-        request = _Request(
-            request=query_request,
-            deadline=None if budget is None else now + budget,
-            enqueued_at=now,
-            explain=explain,
+        The handle's future resolves to a :class:`BatchResult`;
+        admission failures raise immediately, exactly as :meth:`admit`.
+        """
+        return self._admit(
+            lambda: self._coerce_batch(requests), False, deadline, explain
         )
-        self._inflight.inc()
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._finish("queue_full")
-            raise QueueFullError(
-                f"request queue full ({self.config.max_queue} waiting)"
-            ) from None
-        self._requests_by_objective.inc(objective=query_request.objective)
-        if self.hot_set is not None and get_objective(
-            query_request.objective
-        ).index_compatible:
-            # Record at admission (after the queue accepted the
-            # request) so single-flight followers still count toward
-            # the traffic signal.  Objectives the partial tier cannot
-            # answer never feed it, so they cannot evict useful trees.
-            self.hot_set.record(query_request.side, query_request.vertex)
-        return request
 
     def query(
         self,
@@ -1133,25 +925,15 @@ class PMBCService:
     ) -> QueryResult:
         """Admit a request and block for its answer.
 
-        Accepts raw arguments or a single
-        :class:`~repro.core.query.QueryRequest`.  The call returns (or
+        The blocking form of :meth:`admit`.  The call returns (or
         raises :class:`DeadlineExceededError`) within the request's
         deadline budget even when a worker is still computing — the
         abandoned computation finishes in the background and only warms
-        the cache.  With ``explain=True`` the result carries the
-        computation's trace summary (a single-flight follower gets the
-        leader's trace).
+        the cache.
         """
-        request = self._admit(side, vertex, tau_u, tau_l, deadline, explain)
-        budget = self.config.default_deadline if deadline is None else deadline
-        try:
-            return request.future.result(timeout=budget)
-        except FutureTimeoutError:
-            error = DeadlineExceededError(f"no answer within {budget}s")
-            if self._settle(request, "deadline_exceeded", error=error):
-                raise error from None
-            # The worker settled in the same instant; take its outcome.
-            return request.future.result()
+        return self.admit(
+            side, vertex, tau_u, tau_l, deadline, explain
+        ).result()
 
     def query_batch(
         self,
@@ -1173,69 +955,63 @@ class PMBCService:
         apply — vertex grouping already collapses duplicates inside
         the batch.
         """
-        batch = self._admit_batch(requests, deadline, explain)
-        budget = self.config.default_deadline if deadline is None else deadline
-        try:
-            return batch.future.result(timeout=budget)
-        except FutureTimeoutError:
-            error = DeadlineExceededError(f"no batch answer within {budget}s")
-            if self._settle(batch, "deadline_exceeded", error=error):
-                raise error from None
-            return batch.future.result()
+        return self.admit_batch(requests, deadline, explain).result()
 
-    def _admit_batch(
-        self, requests, deadline: float | None, explain: bool = False
-    ) -> _BatchRequest:
+    def _admit(
+        self, coerce, single: bool, deadline: float | None, explain: bool
+    ) -> Submission:
         if self._closed:
             self._requests.inc(status="closed")
             raise ServiceClosedError("service is closed")
         if not self._workers:
             raise ServiceClosedError("service not started (call start())")
+        budget = self.config.default_deadline if deadline is None else deadline
         try:
-            coerced = []
-            for raw in requests:
-                try:
-                    request = QueryRequest.of(raw)
-                except (TypeError, ValueError) as exc:
-                    raise InvalidRequestError(str(exc)) from None
-                self._validate(
-                    request.side, request.vertex, request.tau_u, request.tau_l
+            requests = coerce()
+            if budget is not None and budget <= 0:
+                raise InvalidRequestError(
+                    f"deadline must be positive, got {budget}"
                 )
-                coerced.append(request)
-            if not coerced:
-                raise InvalidRequestError("batch must contain >= 1 request")
         except InvalidRequestError:
             self._requests.inc(status="invalid")
             raise
-        budget = self.config.default_deadline if deadline is None else deadline
-        if budget is not None and budget <= 0:
-            self._requests.inc(status="invalid")
-            raise InvalidRequestError(
-                f"deadline must be positive, got {budget}"
-            )
         now = time.monotonic()
-        batch = _BatchRequest(
-            requests=tuple(coerced),
+        request = _Request(
+            requests=requests,
+            single=single,
             deadline=None if budget is None else now + budget,
             enqueued_at=now,
             explain=explain,
         )
-        self._batch_size.observe(len(coerced))
+        if not single:
+            self._batch_size.observe(len(requests))
         self._inflight.inc()
         try:
-            self._queue.put_nowait(batch)
+            self._queue.put_nowait(request)
         except queue.Full:
             self._finish("queue_full")
             raise QueueFullError(
                 f"request queue full ({self.config.max_queue} waiting)"
             ) from None
-        for request in coerced:
-            self._requests_by_objective.inc(objective=request.objective)
-        if self.hot_set is not None:
-            for request in coerced:
-                if get_objective(request.objective).index_compatible:
-                    self.hot_set.record(request.side, request.vertex)
-        return batch
+        for r in requests:
+            self._requests_by_objective.inc(objective=r.objective)
+            # Record at admission (after the queue accepted the
+            # request) so single-flight followers still count toward
+            # the traffic signal.  Objectives the partial tier cannot
+            # answer never feed it, so they cannot evict useful trees.
+            if self.hot_set is not None and get_objective(
+                r.objective
+            ).index_compatible:
+                self.hot_set.record(r.side, r.vertex)
+
+        def expire() -> bool:
+            return self._settle(
+                request,
+                "deadline_exceeded",
+                error=DeadlineExceededError(f"no answer within {budget}s"),
+            )
+
+        return Submission(future=request.future, budget=budget, _expire=expire)
 
     # ------------------------------------------------------------------
     # worker side
@@ -1245,12 +1021,9 @@ class PMBCService:
             request = self._queue.get()
             if request is None:  # poison pill
                 return
-            if isinstance(request, _BatchRequest):
-                self._serve_batch(request)
-            else:
-                self._serve_one(request)
+            self._serve(request)
 
-    def _serve_one(self, request: _Request) -> None:
+    def _serve(self, request: _Request) -> None:
         if request.future.done():
             # The caller's deadline fired while the request was queued;
             # terminal accounting already happened on that side.
@@ -1258,7 +1031,7 @@ class PMBCService:
         now = time.monotonic()
         queue_seconds = now - request.enqueued_at
         self._queue_wait.observe(queue_seconds)
-        remaining = request.remaining(now)
+        remaining = None if request.deadline is None else request.deadline - now
         if remaining is not None and remaining <= 0:
             self._settle(
                 request,
@@ -1266,12 +1039,22 @@ class PMBCService:
                 error=DeadlineExceededError("deadline expired in queue"),
             )
             return
+        shared = False
         try:
-            flight = self._flight.do(
-                request.key,
-                lambda: self._query_backends(request),
-                timeout=remaining,
-            )
+            if request.single:
+                flight = self._flight.do(
+                    request.requests[0].key,
+                    lambda: self._walk(request),
+                    timeout=remaining,
+                )
+                if flight.leader:
+                    self._sf_leaders.inc()
+                if flight.shared:
+                    self._sf_shared.inc()
+                shared = flight.shared and not flight.leader
+                answers, backend_name, summary = flight.value
+            else:
+                answers, backend_name, summary = self._walk(request)
         except SingleFlightTimeout:
             self._settle(
                 request,
@@ -1285,485 +1068,146 @@ class PMBCService:
         except Exception as exc:  # defensive: never kill a worker
             self._settle(request, "error", error=BackendError(str(exc)))
             return
-        if flight.leader:
-            self._sf_leaders.inc()
-        if flight.shared:
-            self._sf_shared.inc()
-        biclique, backend_name, summary = flight.value
         total = time.monotonic() - request.enqueued_at
-        result = QueryResult(
-            biclique=biclique,
-            backend=backend_name,
-            shared=flight.shared and not flight.leader,
-            queue_seconds=queue_seconds,
-            total_seconds=total,
-            trace=summary if request.explain else None,
-        )
-        if self._settle(
-            request, "ok" if biclique is not None else "empty", result=result
-        ):
-            self._latency.observe(total)
-            hist = self._latency_by_objective.get(request.request.objective)
-            if hist is not None:
-                hist.observe(total)
-
-    def _serve_batch(self, batch: _BatchRequest) -> None:
-        if batch.future.done():
-            return
-        now = time.monotonic()
-        queue_seconds = now - batch.enqueued_at
-        self._queue_wait.observe(queue_seconds)
-        remaining = batch.remaining(now)
-        if remaining is not None and remaining <= 0:
-            self._settle(
-                batch,
-                "deadline_exceeded",
-                error=DeadlineExceededError("deadline expired in queue"),
+        trace = summary if request.explain else None
+        if request.single:
+            result = QueryResult(
+                biclique=answers[0],
+                backend=backend_name,
+                shared=shared,
+                queue_seconds=queue_seconds,
+                total_seconds=total,
+                trace=trace,
             )
-            return
-        try:
-            answers, backend_name, summary = self._query_backends_batch(
-                batch.requests
+        else:
+            result = BatchResult(
+                bicliques=tuple(answers),
+                backend=backend_name,
+                queue_seconds=queue_seconds,
+                total_seconds=total,
+                trace=trace,
             )
-        except ServeError as exc:
-            self._settle(batch, "error", error=exc)
-            return
-        except Exception as exc:  # defensive: never kill a worker
-            self._settle(batch, "error", error=BackendError(str(exc)))
-            return
-        total = time.monotonic() - batch.enqueued_at
-        result = BatchResult(
-            bicliques=tuple(answers),
-            backend=backend_name,
-            queue_seconds=queue_seconds,
-            total_seconds=total,
-            trace=summary if batch.explain else None,
-        )
         status = "ok" if any(a is not None for a in answers) else "empty"
-        if self._settle(batch, status, result=result):
+        if self._settle(request, status, result=result):
             self._latency.observe(total)
-            for name in {r.objective for r in batch.requests}:
+            for name in {r.objective for r in request.requests}:
                 hist = self._latency_by_objective.get(name)
                 if hist is not None:
                     hist.observe(total)
 
-    def _query_backends(
-        self, request: _Request
-    ) -> tuple[Biclique | None, str, dict]:
+    def _walk(self, request: _Request) -> tuple[list, str, dict]:
         """Walk the degradation chain under a fresh trace.
 
         Every computation (not only explain requests) is traced: the
         summary feeds the trace ring and the aggregated search metrics,
-        and single-flight followers reuse it.  Returns ``(answer,
+        and single-flight followers reuse it.  One trace covers a whole
+        batch; its counters are batch totals.  Returns ``(answers,
         backend name, trace summary)``.
         """
-        query_request = request.request
-        trace = SearchTrace(trace_id=query_request.trace_id)
-        trace.annotate(
-            kind="query",
-            query={
-                "side": query_request.side.value,
-                "vertex": query_request.vertex,
-                "tau_u": query_request.tau_u,
-                "tau_l": query_request.tau_l,
-                "objective": query_request.objective,
-            },
+        requests = request.requests
+        trace = SearchTrace(
+            trace_id=next((r.trace_id for r in requests if r.trace_id), None)
         )
+        if request.single:
+            (one,) = requests
+            trace.annotate(
+                kind="query",
+                query={
+                    "side": one.side.value,
+                    "vertex": one.vertex,
+                    "tau_u": one.tau_u,
+                    "tau_l": one.tau_l,
+                    "objective": one.objective,
+                },
+            )
+        else:
+            objectives = {r.objective for r in requests}
+            trace.annotate(
+                kind="batch",
+                batch_size=len(requests),
+                objective=objectives.pop() if len(objectives) == 1 else "mixed",
+            )
+        backends = self.backends
         last_error: Exception | None = None
-        for position, backend in enumerate(self._backends):
+        for position, backend in enumerate(backends):
             self._backend_queries.inc(backend=backend.name)
             try:
                 with use_trace(trace):
-                    answer = backend.query(query_request)
+                    answers = backend.answer(requests)
             except Exception as exc:
                 last_error = exc
-                nxt = self._backends[position + 1].name \
-                    if position + 1 < len(self._backends) else "none"
+                nxt = backends[position + 1].name \
+                    if position + 1 < len(backends) else "none"
                 self._fallbacks.inc(**{"from": backend.name, "to": nxt})
                 continue
-            if answer is MISS:
+            partial = (
+                backend.name == "partial" and self._adaptive_hits is not None
+            )
+            if answers is MISS:
                 # No resident tree (or an objective the tier cannot
                 # answer): a clean fall-through, not a degradation —
                 # the fallback counter stays untouched.  Only the
                 # partial tier's misses feed the adaptive counters.
-                if (
-                    backend.name == "partial"
-                    and self._adaptive_misses is not None
-                ):
-                    self._adaptive_misses.inc()
-                continue
-            if backend.name == "partial" and self._adaptive_hits is not None:
-                self._adaptive_hits.inc()
-            summary = self._finish_trace(trace, backend.name, answer)
-            return answer, backend.name, summary
-        raise BackendError(
-            f"all {len(self._backends)} backends failed "
-            f"(last: {last_error!r})"
-        )
-
-    def _query_backends_batch(
-        self, requests: tuple[QueryRequest, ...]
-    ) -> tuple[list[Biclique | None], str, dict]:
-        """Batch variant of the degradation walk.
-
-        Backends without a ``query_batch`` method (e.g. test doubles)
-        are driven with a per-request loop.  One trace covers the
-        whole batch; its counters are batch totals.
-        """
-        trace = SearchTrace(
-            trace_id=next(
-                (r.trace_id for r in requests if r.trace_id), None
-            )
-        )
-        objectives = {r.objective for r in requests}
-        trace.annotate(
-            kind="batch",
-            batch_size=len(requests),
-            objective=objectives.pop() if len(objectives) == 1 else "mixed",
-        )
-        last_error: Exception | None = None
-        for position, backend in enumerate(self._backends):
-            self._backend_queries.inc(backend=backend.name)
-            try:
-                with use_trace(trace):
-                    batch_fn = getattr(backend, "query_batch", None)
-                    if batch_fn is not None:
-                        answers = batch_fn(requests)
-                        if answers is not MISS:
-                            answers = list(answers)
-                    else:
-                        answers = [backend.query(r) for r in requests]
-            except Exception as exc:
-                last_error = exc
-                nxt = self._backends[position + 1].name \
-                    if position + 1 < len(self._backends) else "none"
-                self._fallbacks.inc(**{"from": backend.name, "to": nxt})
-                continue
-            if answers is MISS or any(a is MISS for a in answers):
-                # The partial/index tiers answer a batch all-or-nothing.
-                if (
-                    backend.name == "partial"
-                    and self._adaptive_misses is not None
-                ):
+                if partial:
                     self._adaptive_misses.inc(len(requests))
                 continue
-            if backend.name == "partial" and self._adaptive_hits is not None:
+            if partial:
                 self._adaptive_hits.inc(len(requests))
-            trace.annotate(
-                answered=sum(1 for a in answers if a is not None)
-            )
-            summary = self._finish_trace(trace, backend.name, None)
+            if request.single:
+                answer = answers[0]
+                trace.annotate(
+                    backend=backend.name,
+                    result=None
+                    if answer is None
+                    else {"shape": list(answer.shape), "edges": answer.num_edges},
+                )
+            else:
+                trace.annotate(
+                    answered=sum(1 for a in answers if a is not None),
+                    backend=backend.name,
+                )
+            summary = trace.to_dict()
+            self.traces.append(summary)
+            publish_trace(summary, self.metrics)
             return answers, backend.name, summary
         raise BackendError(
-            f"all {len(self._backends)} backends failed "
-            f"(last: {last_error!r})"
+            f"all {len(backends)} backends failed (last: {last_error!r})"
         )
-
-    def _finish_trace(
-        self, trace: SearchTrace, backend_name: str, answer: Biclique | None
-    ) -> dict:
-        """Seal a computation's trace: annotate, ring-buffer, publish."""
-        trace.annotate(backend=backend_name)
-        if trace.meta.get("kind") == "query":
-            trace.annotate(
-                result=None
-                if answer is None
-                else {
-                    "shape": list(answer.shape),
-                    "edges": answer.num_edges,
-                }
-            )
-        summary = trace.to_dict()
-        self.traces.append(summary)
-        publish_trace(summary, self.metrics)
-        return summary
 
     # ------------------------------------------------------------------
     # streaming updates
-
-    def _ensure_updater(self) -> None:
-        """Build the lazy update state (caller holds ``_update_lock``).
-
-        Three mirrors, each created only when its consumer exists: the
-        incremental bounds maintainer (when core bounds are on), the
-        patched packed adjacency (when the kernel is packed — it doubles
-        as the adjacency source of truth), and a plain set mirror
-        otherwise (so presence checks and snapshots never rescan an
-        immutable graph).
-        """
-        if self._updater is None and self.config.use_core_bounds:
-            self._updater = IncrementalCoreBounds(
-                self.graph, bounds=self.engine.bounds
-            )
-        if self._dynadj is None and is_packed_kernel(self.engine.kernel):
-            self._dynadj = DynamicPackedAdjacency(self.graph)
-        if self._dynadj is None and self._mirror is None:
-            self._mirror = {
-                side: [
-                    set(self.graph.neighbors(side, x))
-                    for x in range(self.graph.num_vertices_on(side))
-                ]
-                for side in Side
-            }
-
-    # Live-adjacency helpers: the packed adjacency is the source of
-    # truth when present, the plain set mirror otherwise.
-
-    def _adj_has_edge(self, u: int, v: int) -> bool:
-        if self._dynadj is not None:
-            return self._dynadj.has_edge(u, v)
-        rows = self._mirror[Side.UPPER]
-        return u < len(rows) and v in rows[u]
-
-    def _adj_neighbors(self, side: Side, x: int) -> set[int]:
-        if self._dynadj is not None:
-            return self._dynadj.neighbors(side, x)
-        return self._mirror[side][x]
-
-    def _adj_grow(self, side: Side, x: int) -> None:
-        if self._dynadj is not None:
-            self._dynadj.ensure_vertex(side, x)
-        else:
-            rows = self._mirror[side]
-            while x >= len(rows):
-                rows.append(set())
-        if self._updater is not None:
-            self._updater.ensure_vertex(side, x)
-
-    def _adj_apply(self, action: str, u: int, v: int) -> None:
-        if self._dynadj is not None:
-            if action == "insert":
-                self._dynadj.insert_edge(u, v)
-            else:
-                self._dynadj.delete_edge(u, v)
-            return
-        if action == "insert":
-            self._mirror[Side.UPPER][u].add(v)
-            self._mirror[Side.LOWER][v].add(u)
-        else:
-            self._mirror[Side.UPPER][u].discard(v)
-            self._mirror[Side.LOWER][v].discard(u)
-
-    def _adj_snapshot(self) -> BipartiteGraph:
-        if self._dynadj is not None:
-            return self._dynadj.snapshot()
-        return BipartiteGraph(
-            [sorted(ns) for ns in self._mirror[Side.UPPER]],
-            num_lower=len(self._mirror[Side.LOWER]),
-        )
-
-    def _coerce_updates(self, updates) -> list[tuple[str, int, int]]:
-        ops: list[tuple[str, int, int]] = []
-        for raw in updates:
-            if isinstance(raw, dict):
-                try:
-                    action, u, v = raw["action"], raw["u"], raw["v"]
-                except KeyError as exc:
-                    raise InvalidRequestError(
-                        f"update missing field {exc.args[0]!r}"
-                    ) from None
-            else:
-                try:
-                    action, u, v = raw
-                except (TypeError, ValueError):
-                    raise InvalidRequestError(
-                        f"update must be (action, u, v), got {raw!r}"
-                    ) from None
-            if action not in ("insert", "delete"):
-                raise InvalidRequestError(
-                    f"update action must be 'insert' or 'delete', "
-                    f"got {action!r}"
-                )
-            if (
-                not isinstance(u, int)
-                or not isinstance(v, int)
-                or isinstance(u, bool)
-                or isinstance(v, bool)
-                or u < 0
-                or v < 0
-            ):
-                raise InvalidRequestError(
-                    f"vertex ids must be non-negative ints: ({u!r}, {v!r})"
-                )
-            ops.append((action, u, v))
-        if not ops:
-            raise InvalidRequestError("update batch must contain >= 1 edge")
-        return ops
 
     def update_batch(self, updates) -> UpdateResult:
         """Apply edge updates to the live service, incrementally.
 
         ``updates`` is a sequence of ``("insert"|"delete", u, v)``
-        triples (or ``{"action", "u", "v"}`` dicts).  Repeated updates
-        to the same edge collapse to their net effect; net no-ops
-        (inserting a present edge, deleting an absent one) are free and
-        only counted.  Everything is scoped by
-        :func:`~repro.core.dynamic.edge_affected_sets` — bounds are
-        repaired by a bounded peeling cascade, only affected engine
-        cache entries / partial trees / mounted index trees are
+        triples (or ``{"action", "u", "v"}`` dicts), applied once by
+        this service's :class:`~repro.serve.live.LiveGraph` (see
+        :meth:`~repro.serve.live.LiveGraph.apply` for the net-effect
+        collapse and the two-phase ordering that keeps concurrent
+        queries sound).  Everything is scoped by
+        :func:`~repro.core.dynamic.edge_affected_sets` — only affected
+        engine cache entries / partial trees / mounted index trees are
         invalidated — so steady-state cost is proportional to the
-        touched two-hop neighborhoods, not the graph.
-
-        Concurrent queries stay sound throughout: insertions repair the
-        shared bounds *before* the graph swap (post-insert bounds are
-        ≥ the old graph's exact bounds, hence still valid upper
-        bounds), deletions repair *after* it (pre-delete bounds are ≥
-        the shrunk graph's exact bounds).  New vertex ids extend the
-        layers.  Under ``execution="process"`` the pool — whose workers
-        inherited the pre-update graph at spawn — is degraded out of
-        the chain on the first update and serving falls back to the
-        in-process engine.
+        touched two-hop neighborhoods, not the graph.  Under
+        ``execution="process"`` the pool — whose workers inherited the
+        pre-update graph at spawn — is degraded out of the chain on the
+        first update and serving falls back to the in-process engine.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
-        start = time.monotonic()
-        ops = self._coerce_updates(updates)
-        with self._update_lock:
-            self._ensure_updater()
-            final: dict[tuple[int, int], str] = {}
-            for action, u, v in ops:
-                final[(u, v)] = action
-            inserts: list[tuple[int, int]] = []
-            deletes: list[tuple[int, int]] = []
-            for (u, v), action in final.items():
-                present = self._adj_has_edge(u, v)
-                if action == "insert" and not present:
-                    inserts.append((u, v))
-                elif action == "delete" and present:
-                    deletes.append((u, v))
-            applied = len(inserts) + len(deletes)
-            noops = len(ops) - applied
-            if not applied:
-                seconds = time.monotonic() - start
-                self._updates.inc(noops, kind="noop")
-                self._update_batches.inc()
-                self._update_latency.observe(seconds)
-                return UpdateResult(
-                    applied=0,
-                    noops=noops,
-                    inserts=0,
-                    deletes=0,
-                    trees_repaired=0,
-                    evicted=0,
-                    cascade=0,
-                    seconds=seconds,
-                )
-            cascade = 0
-            affected: set[tuple[Side, int]] = set()
-            repacks_before = (
-                self._dynadj.repack_count if self._dynadj is not None else 0
-            )
-            # Phase 1 — insertions: repair bounds, then patch adjacency.
-            # Affected sets read the *post-insert* neighborhoods.  The
-            # stairs/bounds refresh is deferred across the whole insert
-            # phase (overlapping neighborhoods refresh once) and flushed
-            # by the `with` exit — before the snapshot swap publishes
-            # the new graph, keeping the two-phase ordering sound.
-            with (
-                self._updater.defer_refresh()
-                if self._updater is not None
-                else nullcontext()
-            ):
-                for u, v in inserts:
-                    self._adj_grow(Side.UPPER, u)
-                    self._adj_grow(Side.LOWER, v)
-                    if self._updater is not None:
-                        self._updater.insert_edge(u, v)
-                        cascade += self._updater.last_repair.cascade
-                    self._adj_apply("insert", u, v)
-                    up, low = edge_affected_sets(
-                        self._adj_neighbors(Side.UPPER, u),
-                        self._adj_neighbors(Side.LOWER, v),
-                        u,
-                        v,
-                    )
-                    affected.update((Side.UPPER, x) for x in up)
-                    affected.update((Side.LOWER, x) for x in low)
-            # Deletions: affected sets read the *pre-delete*
-            # neighborhoods, then the adjacency is patched (the swap
-            # snapshot must already exclude these edges).
-            for u, v in deletes:
-                up, low = edge_affected_sets(
-                    self._adj_neighbors(Side.UPPER, u),
-                    self._adj_neighbors(Side.LOWER, v),
-                    u,
-                    v,
-                )
-                affected.update((Side.UPPER, x) for x in up)
-                affected.update((Side.LOWER, x) for x in low)
-                self._adj_apply("delete", u, v)
-            new_graph = self._adj_snapshot()
-            self._swap_graph(new_graph, affected)
-            # Phase 2 — deletions repair bounds after the swap (the
-            # refresh defers across the phase; mid-phase bounds stay
-            # valid upper bounds for the already-shrunk graph).
-            if self._updater is not None:
-                with self._updater.defer_refresh():
-                    for u, v in deletes:
-                        self._updater.delete_edge(u, v)
-                        cascade += self._updater.last_repair.cascade
-            trees = self._repair_index(affected)
-            evicted = self._evict_partial(affected)
-            self.last_update_affected = frozenset(affected)
-            repacks = (
-                self._dynadj.repack_count - repacks_before
-                if self._dynadj is not None
-                else 0
-            )
-        seconds = time.monotonic() - start
-        if inserts:
-            self._updates.inc(len(inserts), kind="insert")
-        if deletes:
-            self._updates.inc(len(deletes), kind="delete")
-        if noops:
-            self._updates.inc(noops, kind="noop")
-        self._update_batches.inc()
-        self._update_cascade.inc(cascade)
-        self._update_trees.inc(trees)
-        if repacks:
-            self._update_repacks.inc(repacks)
-        if evicted:
-            self._update_evictions.inc(evicted)
-        self._update_latency.observe(seconds)
-        return UpdateResult(
-            applied=applied,
-            noops=noops,
-            inserts=len(inserts),
-            deletes=len(deletes),
-            trees_repaired=trees,
-            evicted=evicted,
-            cascade=cascade,
-            seconds=seconds,
-        )
-
-    def adopt_update(
-        self, graph: BipartiteGraph, affected
-    ) -> int:
-        """Adopt an update another shard already applied.
-
-        Sharded deployments share one bounds object, one mounted index
-        and one update state across shards
-        (:meth:`repro.shard.ShardedService.update_batch`), so the
-        applying shard has already repaired them; every *other* shard
-        only swaps its serving graph and drops its own warm state for
-        the affected keys.  Returns the number of partial-index trees
-        evicted here.
-        """
-        with self._update_lock:
-            keys = set(affected)
-            self._swap_graph(graph, keys)
-            evicted = self._evict_partial(keys)
-        if evicted:
-            self._update_evictions.inc(evicted)
-        return evicted
+        result, __ = self.live.apply(updates)
+        return result
 
     def _swap_graph(
         self, graph: BipartiteGraph, affected: set[tuple[Side, int]]
     ) -> None:
-        """Point every serving component at the post-update snapshot."""
+        """Point every serving component at a post-update snapshot.
+
+        Called by :class:`~repro.serve.live.LiveGraph` under its lock.
+        """
         self.graph = graph
         self.engine.update_graph(graph, affected)
-        self._online_backend.update_graph(graph)
         if isinstance(self._executor, ThreadBackend):
             # Worker tasks (queries, adaptive builds) read state.graph;
             # the bounds object is repaired in place, never swapped.
@@ -1772,74 +1216,30 @@ class PMBCService:
             # Process-pool workers inherited the pre-update graph when
             # they were spawned; drop the pool from the chain for good
             # and serve from the in-process engine (already a fallback
-            # backend in process mode).
-            if self._exec_backend in self._backends:
-                self._backends.remove(self._exec_backend)
+            # backend in process mode).  The chain is rebound, not
+            # mutated, so walks in flight keep a consistent list.
+            self.backends = [
+                b for b in self.backends if b is not self._exec_backend
+            ]
             self._exec_degraded = True
             if self.builder is not None:
-                self._fallback_executor = ThreadBackend(
-                    graph,
-                    num_workers=1,
-                    state=WorkerState(
-                        graph=graph,
-                        bounds=self.engine.bounds,
-                        cache_size=self.config.cache_size,
-                        kernel=self.engine.kernel,
-                        _engine=self.engine,
-                    ),
-                )
+                self._fallback_executor = self._thread_executor(graph, 1)
         if self._fallback_executor is not None:
             self._fallback_executor.state.graph = graph
         if self.builder is not None:
             self.builder.update_graph(graph, executor=self._fallback_executor)
 
-    def _repair_index(self, affected: set[tuple[Side, int]]) -> int:
-        """Rebuild the mounted index's affected trees in place."""
-        if self._index_backend is None:
-            return 0
-        index = self._index_backend._index
-        for side, count in (
-            (Side.UPPER, self.graph.num_upper),
-            (Side.LOWER, self.graph.num_lower),
-        ):
-            trees = index.trees.setdefault(side, [])
-            while len(trees) < count:
-                trees.append(SearchTree())
-        index.num_upper = self.graph.num_upper
-        index.num_lower = self.graph.num_lower
-        if self._dynadj is not None:
-            source, extractor = self._dynadj, self._dynadj.extract
-        else:
-            source, extractor = self.graph, None
-        bounds = self.engine.bounds
-        count = 0
-        for side, x in affected:
-            trees = index.trees[side]
-            if x >= len(trees):
-                continue
-            trees[x] = build_search_tree(
-                source,
-                side,
-                x,
-                index.array,
-                bounds,
-                None,
-                kernel=self.engine.kernel,
-                extractor=extractor,
-            )
-            count += 1
-        return count
-
     def _evict_partial(self, affected) -> int:
         """Drop affected adaptive trees; the builder re-warms hot ones."""
         if self.partial_index is None:
             return 0
-        evicted = 0
-        for side, x in affected:
-            if self.partial_index.evict(side, x):
-                evicted += 1
-        if evicted and self.builder is not None:
-            self.builder.kick()
+        evicted = sum(
+            1 for side, x in affected if self.partial_index.evict(side, x)
+        )
+        if evicted:
+            self._update_evictions.inc(evicted)
+            if self.builder is not None:
+                self.builder.kick()
         return evicted
 
     # ------------------------------------------------------------------
@@ -1848,7 +1248,7 @@ class PMBCService:
     @property
     def backend_names(self) -> tuple[str, ...]:
         """Answer-backend names in the order they are tried."""
-        return tuple(b.name for b in self._backends)
+        return tuple(b.name for b in self.backends)
 
     def healthy(self) -> bool:
         """True while workers are alive and the service is open."""
@@ -2010,20 +1410,8 @@ class PMBCService:
             "index_coverage": self.index_coverage(),
             "adaptive": adaptive,
             "updates": {
-                "batches": int(self._update_batches.total()),
-                "inserts": int(self._updates.value(kind="insert")),
-                "deletes": int(self._updates.value(kind="delete")),
-                "noops": int(self._updates.value(kind="noop")),
-                "cascade_vertices": int(self._update_cascade.total()),
-                "trees_repaired": int(self._update_trees.total()),
-                "repacks": int(self._update_repacks.total()),
+                **self.live.stats(),
                 "partial_evictions": int(self._update_evictions.total()),
                 "exec_degraded": self._exec_degraded,
-                "bounds": self._updater.stats()
-                if self._updater is not None
-                else None,
-                "adjacency": self._dynadj.stats()
-                if self._dynadj is not None
-                else None,
             },
         }

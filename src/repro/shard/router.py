@@ -25,9 +25,15 @@ healthy shard (answered cold, marked ``degraded=True``) and only when
 *no* shard is healthy does admission fail with
 :class:`~repro.serve.service.ServiceClosedError`.
 
+Updates go through one :class:`~repro.serve.live.LiveGraph` that
+every shard's service holds, so each batch is applied once: one bounds
+repair, one adjacency patch, one index repair, then every shard swaps
+to the new snapshot and evicts its own affected warm state.
+
 The router keeps its own :class:`~repro.serve.metrics.MetricsRegistry`
 (``pmbc_shard_*``); each shard's service keeps per-shard internals in
-its own registry, surfaced via ``stats()["per_shard"]``.
+its own registry, surfaced via ``stats()["per_shard"]``, where every
+shard reports the shared update counts.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
 
 from repro.core.index import PMBCIndex
@@ -43,10 +48,10 @@ from repro.core.query import QueryRequest
 from repro.corenum.bounds import compute_bounds
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.obs.trace import stitch_summaries
+from repro.serve.live import LiveGraph, coerce_updates
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.service import (
     BatchResult,
-    DeadlineExceededError,
     InvalidRequestError,
     PMBCService,
     QueryResult,
@@ -144,7 +149,6 @@ class ShardedService:
         config: ServiceConfig | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.graph = graph
         self.config = config or ServiceConfig()
         self.metrics = metrics or MetricsRegistry()
         self.shard_map = ShardMap.for_graph(graph, num_shards)
@@ -153,11 +157,19 @@ class ShardedService:
         bounds = (
             compute_bounds(graph) if self.config.use_core_bounds else None
         )
+        #: The one update state every shard serves from.
+        self.live = LiveGraph(
+            graph, bounds=bounds, index=index, kernel=self.config.kernel
+        )
         self._workers: list[ShardWorker] = []
         for shard_id in range(num_shards):
             shard_config = self._shard_config(shard_id, num_shards)
             service = PMBCService(
-                graph, index=index, config=shard_config, bounds=bounds
+                graph,
+                index=index,
+                config=shard_config,
+                bounds=bounds,
+                live=self.live,
             )
             self._workers.append(
                 ShardWorker(
@@ -169,8 +181,6 @@ class ShardedService:
         self.traces = _CombinedTraceRing(self._workers)
         self._closed = False
         self._lifecycle_lock = threading.Lock()
-        self._update_lock = threading.Lock()
-        self._update_state_shared = False
         self._started_at = time.monotonic()
         self._init_metrics()
 
@@ -264,6 +274,11 @@ class ShardedService:
     def healthy(self) -> bool:
         """True while at least one shard accepts requests."""
         return not self._closed and any(w.healthy() for w in self._workers)
+
+    @property
+    def graph(self) -> BipartiteGraph:
+        """The current (post-update) graph every shard serves."""
+        return self.live.graph
 
     @property
     def shards(self) -> tuple[ShardWorker, ...]:
@@ -377,20 +392,6 @@ class ShardedService:
             )
         raise last_error
 
-    def submit(
-        self,
-        side: Side | QueryRequest,
-        vertex: int | None = None,
-        tau_u: int = 1,
-        tau_l: int = 1,
-        deadline: float | None = None,
-        explain: bool = False,
-    ) -> Future:
-        """Admit a routed request; the Future resolves to its result."""
-        return self.admit(
-            side, vertex, tau_u, tau_l, deadline, explain
-        ).future
-
     def query(
         self,
         side: Side | QueryRequest,
@@ -401,8 +402,9 @@ class ShardedService:
         explain: bool = False,
     ) -> QueryResult:
         """Admit a routed request and block for its answer."""
-        submission = self.admit(side, vertex, tau_u, tau_l, deadline, explain)
-        return _settle_blocking(submission)
+        return self.admit(
+            side, vertex, tau_u, tau_l, deadline, explain
+        ).result()
 
     # ------------------------------------------------------------------
     # batch scatter/gather
@@ -544,15 +546,6 @@ class ShardedService:
         self._shard_latency.observe(merged.total_seconds)
         return merged
 
-    def submit_batch(
-        self,
-        requests,
-        deadline: float | None = None,
-        explain: bool = False,
-    ) -> Future:
-        """Scatter a batch; the Future resolves to a merged result."""
-        return self.admit_batch(requests, deadline, explain).future
-
     def query_batch(
         self,
         requests,
@@ -560,43 +553,17 @@ class ShardedService:
         explain: bool = False,
     ) -> BatchResult:
         """Scatter a batch and block for the merged in-order answers."""
-        submission = self.admit_batch(requests, deadline, explain)
-        return _settle_blocking(submission)
+        return self.admit_batch(requests, deadline, explain).result()
 
     # ------------------------------------------------------------------
     # streaming updates
-
-    def _ensure_shared_update_state(self) -> None:
-        """Make every shard share ONE update state (caller holds lock).
-
-        The bounds object is already shared (computed once in the
-        constructor), so per-shard incremental maintainers would
-        corrupt it: a maintainer's internal sweep family must observe
-        *every* applied update, not just the ones routed to its shard.
-        Shard 0's service builds the state lazily; the same maintainer
-        / packed adjacency / mirror / lock objects are then attached to
-        every other shard, so whichever shard applies a batch advances
-        the one true state.
-        """
-        if self._update_state_shared:
-            return
-        first = self._workers[0].service
-        with first._update_lock:
-            first._ensure_updater()
-        for worker in self._workers[1:]:
-            service = worker.service
-            service._updater = first._updater
-            service._dynadj = first._dynadj
-            service._mirror = first._mirror
-            service._update_lock = first._update_lock
-        self._update_state_shared = True
 
     def _owner_or_default(self, side: Side, vertex: int) -> int:
         """The owning shard, or shard 0 for ids beyond the shard map.
 
         Growth inserts reference vertex ids the (construction-time)
-        shard map has never seen; they are applied through shard 0
-        until a re-shard.
+        shard map has never seen; they are attributed to shard 0 until
+        a re-shard.
         """
         try:
             return self.shard_map.shard_of(side, vertex)
@@ -604,74 +571,38 @@ class ShardedService:
             return 0
 
     def update_batch(self, updates) -> UpdateResult:
-        """Apply edge updates across the sharded deployment.
+        """Apply edge updates across the sharded deployment, once.
 
-        Each update is routed to the shard owning its upper endpoint
-        (cross-shard edges — endpoints owned by different shards — are
-        counted in ``pmbc_shard_update_cross_total``; their warm-state
-        invalidation reaches both owners because *every* shard adopts
-        each applied group).  The applying shard repairs the shared
-        bounds, mounted index and packed adjacency exactly once
-        (:meth:`PMBCService.update_batch`); the remaining shards then
-        :meth:`~PMBCService.adopt_update` the new snapshot — a graph
-        swap plus scoped eviction of their own engine-cache and
-        partial-index entries, with no repeated repair work.  Returns
-        one merged :class:`UpdateResult` (``shard`` set when a single
-        shard applied the whole batch).
+        The shared :class:`~repro.serve.live.LiveGraph` repairs the
+        bounds, the mounted index and the adjacency once and hands the
+        new snapshot to every shard, which swaps to it and drops its
+        own affected engine-cache and partial-index entries.  Each
+        applied edge is attributed to the shard owning its upper
+        endpoint (``pmbc_shard_updates_total``, and ``shard`` on the
+        returned :class:`UpdateResult` when one shard owns them all);
+        edges whose endpoints are owned by different shards are counted
+        in ``pmbc_shard_update_cross_total``.
         """
         if self._closed:
             raise ServiceClosedError("sharded service is closed")
-        start = time.monotonic()
-        ops = self._workers[0].service._coerce_updates(updates)
-        groups: dict[int, list[tuple[str, int, int]]] = {}
-        cross = 0
-        for action, u, v in ops:
+        ops = coerce_updates(updates)
+        result, changed = self.live.apply(ops)
+        owners: set[int] = set()
+        for u, __ in changed:
             owner = self._owner_or_default(Side.UPPER, u)
-            if owner != self._owner_or_default(Side.LOWER, v):
-                cross += 1
-            groups.setdefault(owner, []).append((action, u, v))
-        applied = noops = inserts = deletes = 0
-        trees = evicted = cascade = 0
-        applied_shards: set[int] = set()
-        with self._update_lock:
-            self._ensure_shared_update_state()
-            for shard_id in sorted(groups):
-                worker, __ = self._healthy_worker(shard_id)
-                result = worker.service.update_batch(groups[shard_id])
-                applied += result.applied
-                noops += result.noops
-                inserts += result.inserts
-                deletes += result.deletes
-                trees += result.trees_repaired
-                evicted += result.evicted
-                cascade += result.cascade
-                if result.applied:
-                    applied_shards.add(worker.shard_id)
-                    self._shard_updates.inc(
-                        result.applied, shard=str(worker.shard_id)
-                    )
-                    graph = worker.service.graph
-                    affected = worker.service.last_update_affected
-                    for other in self._workers:
-                        if other is worker:
-                            continue
-                        evicted += other.service.adopt_update(
-                            graph, affected
-                        )
-                    self.graph = graph
+            owners.add(owner)
+            self._shard_updates.inc(shard=str(owner))
+        cross = sum(
+            1
+            for __, u, v in ops
+            if self._owner_or_default(Side.UPPER, u)
+            != self._owner_or_default(Side.LOWER, v)
+        )
         self._shard_update_batches.inc()
         if cross:
             self._shard_update_cross.inc(cross)
-        return UpdateResult(
-            applied=applied,
-            noops=noops,
-            inserts=inserts,
-            deletes=deletes,
-            trees_repaired=trees,
-            evicted=evicted,
-            cascade=cascade,
-            seconds=time.monotonic() - start,
-            shard=applied_shards.pop() if len(applied_shards) == 1 else None,
+        return replace(
+            result, shard=owners.pop() if len(owners) == 1 else None
         )
 
     # ------------------------------------------------------------------
@@ -715,14 +646,3 @@ class ShardedService:
             "per_shard": [w.service.stats() for w in self._workers],
         }
 
-
-def _settle_blocking(submission: Submission) -> QueryResult | BatchResult:
-    """Block on a submission, running the expiry race on timeout."""
-    try:
-        return submission.future.result(timeout=submission.budget)
-    except FutureTimeoutError:
-        if submission.expire():
-            raise DeadlineExceededError(
-                f"no answer within {submission.budget}s"
-            ) from None
-        return submission.future.result()

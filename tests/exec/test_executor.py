@@ -56,7 +56,9 @@ def test_backend_matches_sequential_engine_on_zoo(zoo_graph, kind):
     expected = [engine.query(request) for request in requests]
     with create_executor(kind, zoo_graph, num_workers=2) as executor:
         assert executor.kind == kind  # no silent fallback on this host
-        answers = [executor.run("query", request) for request in requests]
+        answers = [
+            executor.run("query_batch", [request])[0] for request in requests
+        ]
     # Maxima are unique per (vertex, taus) objective value; compare by
     # edge count, the paper's objective.
     assert [_edges(a) for a in answers] == [_edges(e) for e in expected]
@@ -66,7 +68,9 @@ def test_backend_matches_sequential_engine_on_zoo(zoo_graph, kind):
 def test_batch_task_matches_per_item_runs(zoo_graph, kind):
     requests = _workload(zoo_graph, stride=11)
     with create_executor(kind, zoo_graph, num_workers=2) as executor:
-        singles = [executor.run("query", request) for request in requests]
+        singles = [
+            executor.run("query_batch", [request])[0] for request in requests
+        ]
         batch = executor.run("query_batch", requests)
     assert [_edges(a) for a in batch] == [_edges(s) for s in singles]
 
@@ -74,9 +78,11 @@ def test_batch_task_matches_per_item_runs(zoo_graph, kind):
 def test_executor_map_preserves_item_order(paper_graph):
     requests = _workload(paper_graph, stride=1)
     with create_executor("process", paper_graph, num_workers=2) as executor:
-        mapped = executor.map("query", requests)
-        singles = [executor.run("query", request) for request in requests]
-    assert [_edges(a) for a in mapped] == [_edges(s) for s in singles]
+        mapped = executor.map("query_batch", [[r] for r in requests])
+        singles = [
+            executor.run("query_batch", [request]) for request in requests
+        ]
+    assert [_edges(a) for (a,) in mapped] == [_edges(s) for (s,) in singles]
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +98,7 @@ def test_thread_fallback_when_no_start_method(paper_graph, monkeypatch):
         executor = create_executor("process", paper_graph, num_workers=2)
     try:
         assert executor.kind == "thread"
-        answer = executor.run("query", QueryRequest(Side.UPPER, 0))
+        (answer,) = executor.run("query_batch", [QueryRequest(Side.UPPER, 0)])
         assert answer is not None
     finally:
         executor.close()
@@ -161,7 +167,7 @@ def test_closed_executor_rejects_work(paper_graph):
     executor = ThreadBackend(paper_graph, num_workers=1)
     executor.close()
     with pytest.raises(ExecutorClosedError):
-        executor.run("query", QueryRequest(Side.UPPER, 0))
+        executor.run("query_batch", [QueryRequest(Side.UPPER, 0)])
 
 
 def test_unknown_task_rejected(paper_graph):
@@ -177,7 +183,7 @@ def test_exec_metrics_are_recorded(paper_graph, kind):
     with create_executor(
         kind, paper_graph, num_workers=2, metrics=metrics
     ) as executor:
-        executor.map("query", requests)
+        executor.map("query_batch", [[r] for r in requests])
         rendered = metrics.render()
     assert "pmbc_exec_tasks_total" in rendered
     assert "pmbc_exec_queue_depth" in rendered
@@ -185,7 +191,7 @@ def test_exec_metrics_are_recorded(paper_graph, kind):
     counter = metrics.counter(
         "pmbc_exec_tasks_total", "Executor work items by backend and task."
     )
-    assert counter.value(backend=kind, task="query") == len(requests)
+    assert counter.value(backend=kind, task="query_batch") == len(requests)
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +215,10 @@ def test_process_worker_packs_once_per_extraction(paper_graph):
         assert executor.kind == "process"
         baseline = executor.run("pack_count", None)
         for _ in range(5):
-            executor.run("query", request)
+            executor.run("query_batch", [request])
         assert executor.run("pack_count", None) == baseline + 1
         for _ in range(3):
-            executor.run("query", other)
+            executor.run("query_batch", [other])
         assert executor.run("pack_count", None) == baseline + 2
 
 
@@ -224,5 +230,5 @@ def test_thread_worker_packs_once_per_extraction(paper_graph):
     ) as executor:
         baseline = executor.run("pack_count", None)
         for _ in range(5):
-            executor.run("query", request)
+            executor.run("query_batch", [request])
         assert executor.run("pack_count", None) == baseline + 1

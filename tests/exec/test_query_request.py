@@ -85,7 +85,7 @@ def test_all_surfaces_accept_a_query_request(paper_graph):
     with PMBCService(paper_graph, index=index, config=config) as service:
         via_service = service.query(request)
         assert via_service.biclique.num_edges == expected.num_edges
-        via_future = service.submit(request).result(timeout=10)
+        via_future = service.admit(request).future.result(timeout=10)
         assert via_future.biclique.num_edges == expected.num_edges
 
 

@@ -72,21 +72,21 @@ def test_process_service_deadline_and_queue_semantics(paper_graph):
     class _SlowBackend:
         name = "slow"
 
-        def query(self, request):
+        def answer(self, requests):
             release.wait(10)
-            return None
+            return [None] * len(requests)
 
     config = ServiceConfig(
         num_workers=1, max_queue=2, execution="process"
     )
     with PMBCService(paper_graph, config=config) as service:
-        service._backends = [_SlowBackend()]
+        service.backends = [_SlowBackend()]
         with pytest.raises(DeadlineExceededError):
             service.query(Side.UPPER, 0, deadline=0.1)
-        futures = [service.submit(Side.UPPER, v) for v in (1, 2)]
+        futures = [service.admit(Side.UPPER, v).future for v in (1, 2)]
         with pytest.raises(QueueFullError):
             for v in range(3, 10):
-                service.submit(Side.UPPER, v)
+                service.admit(Side.UPPER, v)
         release.set()
         for future in futures:
             future.result(timeout=10)
@@ -148,14 +148,14 @@ def test_query_batch_deadline_covers_whole_batch(paper_graph):
     class _SlowBatchBackend:
         name = "slow"
 
-        def query_batch(self, requests):
+        def answer(self, requests):
             release.wait(10)
             return [None] * len(requests)
 
     with PMBCService(
         paper_graph, config=ServiceConfig(num_workers=1)
     ) as service:
-        service._backends = [_SlowBatchBackend()]
+        service.backends = [_SlowBatchBackend()]
         start = time.monotonic()
         with pytest.raises(DeadlineExceededError):
             service.query_batch(

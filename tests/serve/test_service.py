@@ -35,14 +35,14 @@ class _SlowBackend:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def query(self, request):
+    def answer(self, requests):
         with self._lock:
             self.calls += 1
         if self.release is not None:
             self.release.wait(10)
         if self.delay:
             time.sleep(self.delay)
-        return None
+        return [None] * len(requests)
 
 
 class _FailingBackend:
@@ -51,7 +51,7 @@ class _FailingBackend:
     def __init__(self):
         self.calls = 0
 
-    def query(self, request):
+    def answer(self, requests):
         self.calls += 1
         raise RuntimeError("synthetic backend outage")
 
@@ -128,7 +128,7 @@ def test_deadline_exceeded_while_computing(paper_graph):
     release = threading.Event()
     config = ServiceConfig(num_workers=1, max_queue=8)
     with PMBCService(paper_graph, config=config) as service:
-        service._backends = [_SlowBackend(release=release)]
+        service.backends = [_SlowBackend(release=release)]
         start = time.monotonic()
         with pytest.raises(DeadlineExceededError):
             service.query(Side.UPPER, 0, deadline=0.1)
@@ -149,11 +149,11 @@ def test_deadline_expired_in_queue(paper_graph):
     backend = _SlowBackend(release=release)
     config = ServiceConfig(num_workers=1, max_queue=8)
     with PMBCService(paper_graph, config=config) as service:
-        service._backends = [backend]
+        service.backends = [backend]
         # Occupy the single worker, then queue a request with a tiny
         # budget; it must expire before any backend call.
-        blocker = service.submit(Side.UPPER, 0, deadline=30)
-        queued = service.submit(Side.UPPER, 1, deadline=0.05)
+        blocker = service.admit(Side.UPPER, 0, deadline=30).future
+        queued = service.admit(Side.UPPER, 1, deadline=0.05).future
         time.sleep(0.2)
         release.set()
         with pytest.raises(DeadlineExceededError):
@@ -177,19 +177,19 @@ def test_queue_full_rejects_immediately(paper_graph):
     backend = _SlowBackend(release=release)
     config = ServiceConfig(num_workers=1, max_queue=2)
     with PMBCService(paper_graph, config=config) as service:
-        service._backends = [backend]
+        service.backends = [backend]
         # One request occupies the worker ...
-        futures = [service.submit(Side.UPPER, 0)]
+        futures = [service.admit(Side.UPPER, 0).future]
         deadline = time.monotonic() + 5
         while backend.calls < 1 and time.monotonic() < deadline:
             time.sleep(0.005)
         assert backend.calls == 1
         # ... and two more fill the queue.
-        futures += [service.submit(Side.UPPER, v) for v in (1, 2)]
+        futures += [service.admit(Side.UPPER, v).future for v in (1, 2)]
         start = time.monotonic()
         with pytest.raises(QueueFullError):
             for v in range(3, 10):
-                service.submit(Side.UPPER, v)
+                service.admit(Side.UPPER, v)
         assert time.monotonic() - start < 1  # rejected, not blocked
         assert service.stats()["requests"]["queue_full"] >= 1
         release.set()
@@ -206,9 +206,9 @@ def test_identical_concurrent_queries_run_backend_once(paper_graph):
     backend = _SlowBackend(release=release)
     config = ServiceConfig(num_workers=8, max_queue=64)
     with PMBCService(paper_graph, config=config) as service:
-        service._backends = [backend]
+        service.backends = [backend]
         futures = [
-            service.submit(Side.UPPER, 0, 1, 1, deadline=10)
+            service.admit(Side.UPPER, 0, 1, 1, deadline=10).future
             for __ in range(8)
         ]
         # Wait until every worker has picked its request up and joined
@@ -232,9 +232,9 @@ def test_different_keys_are_not_deduplicated(paper_graph):
     backend = _SlowBackend()
     config = ServiceConfig(num_workers=4, max_queue=64)
     with PMBCService(paper_graph, config=config) as service:
-        service._backends = [backend]
+        service.backends = [backend]
         futures = [
-            service.submit(Side.UPPER, 0, tau, 1) for tau in range(1, 5)
+            service.admit(Side.UPPER, 0, tau, 1).future for tau in range(1, 5)
         ]
         for f in futures:
             f.result(timeout=5)
@@ -249,7 +249,7 @@ def test_fallback_to_next_backend_on_failure(paper_graph):
     failing = _FailingBackend()
     config = ServiceConfig(num_workers=2, max_queue=16)
     with PMBCService(paper_graph, config=config) as service:
-        service._backends = [failing] + service._backends[-2:]
+        service.backends = [failing] + service.backends[-2:]
         outcome = service.query(Side.UPPER, 0, 1, 1)
         stats = service.stats()
     assert failing.calls == 1

@@ -160,7 +160,7 @@ def test_queue_full_raises_queue_full(medium_planted_graph):
     with ShardedService(medium_planted_graph, 2, config=tiny) as service:
         with pytest.raises(QueueFullError):
             for __ in range(64):
-                service.submit(Side.UPPER, 0, 6, 6)
+                service.admit(Side.UPPER, 0, 6, 6)
 
 
 def test_metrics_and_stats_expose_shard_series(sharded):

@@ -2,7 +2,7 @@
 
 Routing (owner shard per upper endpoint, cross-shard accounting,
 growth ids falling back to shard 0), the one-true-state invariant
-(every shard shares a single maintainer / packed adjacency / lock),
+(every shard serves from one shared LiveGraph),
 and answer correctness after churn on every shard.
 """
 
@@ -88,14 +88,20 @@ def test_cross_shard_edges_counted(sharded):
 def test_update_state_is_shared_across_shards(sharded):
     u, v = _edge_owned_by(sharded, 0, False)
     sharded.update_batch([("insert", u, v)])
-    services = [w.service for w in sharded._workers]
-    assert len({id(s._updater) for s in services}) == 1
-    assert len({id(s._dynadj) for s in services}) == 1
-    assert len({id(s._update_lock) for s in services}) == 1
+    services = [w.service for w in sharded.shards]
+    assert all(s.live is sharded.live for s in services)
+    # One LiveGraph applied the batch once: every shard reports the
+    # same shared update state.
+    per_shard = [s.stats()["updates"] for s in services]
+    for updates in per_shard:
+        assert updates["batches"] == 1
+        assert updates["inserts"] == 1
+        assert updates["adjacency"] == per_shard[0]["adjacency"]
+        assert updates["bounds"] == per_shard[0]["bounds"]
     # The shared maintainer observed the update: its bounds equal a
     # recompute of the merged snapshot.
     exact = compute_bounds(sharded.graph)
-    live = services[0]._updater.bounds
+    live = sharded.live.bounds
     for side in Side:
         assert live.z[side] == exact.z[side]
 
@@ -123,7 +129,7 @@ def test_churn_keeps_all_shards_consistent(sharded):
         sharded.update_batch(ops)
     final = sharded.graph
     exact = compute_bounds(final)
-    for worker in sharded._workers:
+    for worker in sharded.shards:
         assert worker.service.graph is final
     for side in (Side.UPPER, Side.LOWER):
         n = final.num_vertices_on(side)
@@ -133,3 +139,65 @@ def test_churn_keeps_all_shards_consistent(sharded):
             assert (got.num_edges if got else None) == (
                 expected.num_edges if expected else None
             )
+
+
+def test_concurrent_updates_through_every_shard_stay_consistent(sharded):
+    """Updates racing through the router and both shards' services, with
+    queries in flight, lose nothing: one LiveGraph serializes them."""
+    import random
+    import sys
+    import threading
+
+    from repro.kernel.dynadj import DynamicPackedAdjacency
+
+    graph = sharded.graph
+    entry_points = [sharded] + [w.service for w in sharded.shards]
+    batches_per_thread = 15
+    errors: list[BaseException] = []
+
+    def churn(seed: int) -> None:
+        rng = random.Random(seed)
+        target = entry_points[seed % len(entry_points)]
+        try:
+            for __ in range(batches_per_thread):
+                ops = [
+                    (
+                        rng.choice(("insert", "delete")),
+                        rng.randrange(graph.num_upper),
+                        rng.randrange(graph.num_lower),
+                    )
+                    for __ in range(3)
+                ]
+                target.update_batch(ops)
+                sharded.query(Side.UPPER, rng.randrange(graph.num_upper), 2, 2)
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=churn, args=(seed,)) for seed in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+
+    final = sharded.graph
+    assert all(w.service.graph is final for w in sharded.shards)
+    for worker in sharded.shards:
+        assert worker.service.stats()["updates"]["batches"] == 6 * (
+            batches_per_thread
+        )
+    assert (
+        sharded.live.adjacency.canonical_bytes()
+        == DynamicPackedAdjacency(final).canonical_bytes()
+    )
+    exact = compute_bounds(final)
+    for side in Side:
+        assert sharded.live.bounds.z[side] == exact.z[side]
