@@ -4,8 +4,8 @@
 Four suites, selected with ``--suite {kernel,serve,load,update,all}``:
 
 **kernel** (default) emits ``BENCH_kernel.json``, a kernel latency
-snapshot covering all three compute kernels (``set``, ``bitset``,
-``words``) plus a batched-vs-per-request comparison — see below.
+snapshot covering both compute kernels (``set`` and ``bitset``) plus a
+batched-vs-per-request comparison — see below.
 
 **serve** emits ``BENCH_serve.json``: a Zipf-skewed serve workload
 against a :class:`repro.serve.PMBCService` with the traffic-adaptive
@@ -53,14 +53,13 @@ mean (the Figure 6 protocol: the benchmark times the whole query sweep,
 so heavy personalized queries dominate, which is exactly the regime the
 bitset kernel targets) and ``speedup_p50`` on the median query (the
 typical-query view; small two-hop subgraphs leave word-parallelism
-little to chew on, so this is the kernel's worst case).  The ``words``
-kernel rides the same rows head-to-head (``speedup_mean_words`` /
-``speedup_p50_words``, also over ``set``).  The summary reports the
+little to chew on, so this is the kernel's worst case).  The summary
+reports the
 median of each per size class; the headline metric is the workload
 one.  Latencies are per-query best-of-N to keep the snapshot stable on
 noisy machines.
 
-All kernels answer every query in the same process and the result
+Both kernels answer every query in the same process and the result
 sizes are asserted equal — each snapshot doubles as a differential run.
 The plan also carries a ``balanced`` suite: the same Figure 6 datasets
 queried under the pluggable ``"balanced"`` objective
@@ -70,7 +69,7 @@ kernel matrix, not just the PMBC family.
 A ``batch`` suite rounds out the kernel snapshot: a Zipf-skewed
 request stream (τ floors alternating, duplicates expected — that is
 serving traffic) is answered once via :func:`pmbc_online_batch` and
-once as a per-request :func:`pmbc_online` loop, per packed kernel.
+once as a per-request :func:`pmbc_online` loop, on the bitset kernel.
 Rows record whole-stream latency stats for both execution modes and
 the speedup of batched over per-request; answers are asserted equal,
 so the batch rows double as a batch-vs-single differential run.
@@ -81,12 +80,8 @@ kernel on every smoke row of the **pmbc** suites and (b) the batched
 path beats per-request execution on every batch row (the CI
 benchmark-smoke gate).  Balanced rows are exempt from the speed gate —
 the balanced family switches the Lemma 9 size bounds off, so the
-bitset advantage is not contractual there — and the ``words`` columns
-are head-to-head measurements, not gates: the word-array kernel trades
-per-query scan latency for in-place mutation, so it is expected to
-trail on narrow per-query extractions and win where reduction loops
-dominate.  Cross-kernel answer equality is asserted on every row
-regardless.
+bitset advantage is not contractual there.  Cross-kernel answer
+equality is asserted on every row regardless.
 """
 
 from __future__ import annotations
@@ -109,7 +104,7 @@ from repro.bench.workloads import top_degree_queries, zipf_queries  # noqa: E402
 from repro.core.online import pmbc_online, pmbc_online_batch  # noqa: E402
 from repro.core.query import QueryRequest  # noqa: E402
 from repro.corenum.bounds import compute_bounds  # noqa: E402
-from repro.kernel import KERNEL_KINDS, PACKED_KERNELS  # noqa: E402
+from repro.kernel import KERNEL_KINDS  # noqa: E402
 from repro.datasets.zoo import (  # noqa: E402
     dataset_names,
     load_dataset,
@@ -234,24 +229,17 @@ def bench_case(graph, queries, tau, bounds, repeats, objective="pmbc"):
         )
         kernels[kernel] = latency_stats(latencies)
         sizes_by_kernel[kernel] = sizes
-    for kernel in PACKED_KERNELS:
-        if sizes_by_kernel["set"] != sizes_by_kernel[kernel]:
-            raise AssertionError(
-                f"{kernel} answers diverged from set — differential "
-                "failure on this config"
-            )
+    if sizes_by_kernel["set"] != sizes_by_kernel["bitset"]:
+        raise AssertionError(
+            "bitset answers diverged from set — differential "
+            "failure on this config"
+        )
     speedups = {
         "speedup_mean": round(
             kernels["set"]["mean_ms"] / kernels["bitset"]["mean_ms"], 3
         ),
         "speedup_p50": round(
             kernels["set"]["p50_ms"] / kernels["bitset"]["p50_ms"], 3
-        ),
-        "speedup_mean_words": round(
-            kernels["set"]["mean_ms"] / kernels["words"]["mean_ms"], 3
-        ),
-        "speedup_p50_words": round(
-            kernels["set"]["p50_ms"] / kernels["words"]["p50_ms"], 3
         ),
     }
     return kernels, speedups
@@ -1123,10 +1111,8 @@ def run_kernel_suite(args) -> int:
             f"{suite} {dataset:14s} {config:12s} "
             f"set={kernels['set']['mean_ms']:.3f}ms "
             f"bitset={kernels['bitset']['mean_ms']:.3f}ms "
-            f"words={kernels['words']['mean_ms']:.3f}ms "
             f"x{speedups['speedup_mean']:.2f} "
-            f"(p50 x{speedups['speedup_p50']:.2f}, "
-            f"words x{speedups['speedup_mean_words']:.2f})",
+            f"(p50 x{speedups['speedup_p50']:.2f})",
             flush=True,
         )
 
@@ -1140,30 +1126,29 @@ def run_kernel_suite(args) -> int:
     for dataset in batch_datasets:
         graph = graph_of(dataset)
         requests = batch_requests(graph, num_batch)
-        for kernel in PACKED_KERNELS:
-            modes, speedups = bench_batch_case(
-                graph, requests, bounds_of(dataset), kernel, repeats
-            )
-            rows.append(
-                {
-                    "suite": "batch",
-                    "dataset": dataset,
-                    "size_class": size_class(graph.num_edges),
-                    "config": f"{batch_config} {kernel}",
-                    "objective": "pmbc",
-                    "kernel": kernel,
-                    "modes": modes,
-                    **speedups,
-                }
-            )
-            print(
-                f"batch {dataset:14s} {kernel:7s} "
-                f"per-request={modes['per_request']['mean_ms']:.1f}ms "
-                f"batched={modes['batched']['mean_ms']:.1f}ms "
-                f"x{speedups['speedup_mean']:.2f} "
-                f"(p50 x{speedups['speedup_p50']:.2f})",
-                flush=True,
-            )
+        modes, speedups = bench_batch_case(
+            graph, requests, bounds_of(dataset), "bitset", repeats
+        )
+        rows.append(
+            {
+                "suite": "batch",
+                "dataset": dataset,
+                "size_class": size_class(graph.num_edges),
+                "config": f"{batch_config} bitset",
+                "objective": "pmbc",
+                "kernel": "bitset",
+                "modes": modes,
+                **speedups,
+            }
+        )
+        print(
+            f"batch {dataset:14s} bitset  "
+            f"per-request={modes['per_request']['mean_ms']:.1f}ms "
+            f"batched={modes['batched']['mean_ms']:.1f}ms "
+            f"x{speedups['speedup_mean']:.2f} "
+            f"(p50 x{speedups['speedup_p50']:.2f})",
+            flush=True,
+        )
 
     summary = {}
     for suite in ("fig6", "fig7", "balanced", "batch"):
@@ -1228,10 +1213,6 @@ def run_kernel_suite(args) -> int:
                         file=sys.stderr,
                     )
                 continue
-            # Only bitset gates on speed: words trades per-query scan
-            # latency for in-place mutation and only wins when reduction
-            # loops dominate (batch rows, index builds), so its fig6
-            # columns are reported head-to-head, not gated.
             if r["speedup_mean"] < 1.0:
                 failed = True
                 print(

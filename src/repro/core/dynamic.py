@@ -20,13 +20,12 @@ scheme on top of the static constructors:
   recomputation — and stay *exact* at every point.
 - The adjacency lives in one
   :class:`~repro.kernel.DynamicPackedAdjacency` for every kernel; on
-  packed kernels affected trees are rebuilt by fused extraction from
+  the bitset kernel affected trees are rebuilt by fused extraction from
   its live sets — no ``O(m)`` graph snapshot per update batch.
-- Deleted edges can strand biclique instances in the array ``A``;
+- Rebuilt trees can strand biclique instances in the array ``A``;
   they become unreachable (every tree referencing a broken biclique is
   in the affected set) and :meth:`DynamicPMBCIndex.compact` garbage
-  collects them — automatically every ``compact_every`` deletions when
-  that knob is set.
+  collects them via :func:`~repro.core.index.compact_index`.
 
 Rebuilding a tree costs the same as during construction —
 ``O(deg(x) · TC(PMBC-OL*))`` — so an update touches
@@ -38,7 +37,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.construction import build_search_tree
-from repro.core.index import BicliqueArray, PMBCIndex, SearchTree
+from repro.core.index import (
+    BicliqueArray,
+    PMBCIndex,
+    SearchTree,
+    compact_index,
+)
 from repro.core.query import pmbc_index_query
 from repro.core.result import Biclique
 from repro.corenum.bounds import CoreBounds
@@ -79,13 +83,8 @@ class DynamicPMBCIndex:
         The starting graph.
     use_core_bounds:
         Maintain (α,β)-core bounds (PMBC-OL* pruning) incrementally.
-    compact_every:
-        When set, :meth:`compact` runs automatically after every this
-        many effective deletions (``None`` — the default — disables
-        auto-GC; stranded bicliques then accumulate until an explicit
-        :meth:`compact`).
     kernel:
-        Compute kernel for tree rebuilds; packed kernels extract
+        Compute kernel for tree rebuilds; the bitset kernel extracts
         straight from the live :class:`DynamicPackedAdjacency`, so
         rebuilds skip graph snapshots.
     cascade_cap:
@@ -100,7 +99,6 @@ class DynamicPMBCIndex:
         self,
         graph: BipartiteGraph,
         use_core_bounds: bool = True,
-        compact_every: int | None = None,
         kernel: str | None = None,
         cascade_cap: int = DEFAULT_CASCADE_CAP,
         bounds: CoreBounds | None = None,
@@ -113,14 +111,11 @@ class DynamicPMBCIndex:
             if use_core_bounds
             else None
         )
-        self.compact_every = compact_every
         self._snapshot: BipartiteGraph | None = None
         self._array = BicliqueArray()
         self._trees: dict[Side, list[SearchTree]] = {}
         self.trees_rebuilt = 0
         self.noop_updates = 0
-        self.auto_compactions = 0
-        self._deletions_since_compact = 0
         self._rebuild_all()
 
     # ------------------------------------------------------------------
@@ -197,7 +192,6 @@ class DynamicPMBCIndex:
         """
         affected_upper: set[int] = set()
         affected_lower: set[int] = set()
-        deletions = 0
         for action, u, v in updates:
             if action == "insert":
                 self._grow(Side.UPPER, u)
@@ -219,7 +213,6 @@ class DynamicPMBCIndex:
                 self._adj.delete_edge(u, v)
                 if self._inc is not None:
                     self._inc.delete_edge(u, v)
-                deletions += 1
             else:
                 raise ValueError(f"unknown update action {action!r}")
             affected_upper.add(u)
@@ -227,16 +220,7 @@ class DynamicPMBCIndex:
         if not affected_upper and not affected_lower:
             return 0  # pure no-op batch: nothing moved, nothing to do
         self._snapshot = None
-        rebuilt = self._rebuild(affected_upper, affected_lower)
-        if deletions:
-            self._deletions_since_compact += deletions
-            if (
-                self.compact_every is not None
-                and self._deletions_since_compact >= self.compact_every
-            ):
-                self.compact()
-                self.auto_compactions += 1
-        return rebuilt
+        return self._rebuild(affected_upper, affected_lower)
 
     def delete_vertex(self, side: Side, v: int) -> int:
         """Remove all incident edges of ``v`` (the vertex id remains,
@@ -274,26 +258,9 @@ class DynamicPMBCIndex:
 
     def compact(self) -> int:
         """Garbage-collect unreferenced bicliques; returns the number
-        removed.  Tree pointers are remapped in place."""
-        self._deletions_since_compact = 0
-        referenced: set[int] = set()
-        for side in Side:
-            for tree in self._trees[side]:
-                for node in tree.walk():
-                    if node.biclique_id is not None:
-                        referenced.add(node.biclique_id)
-        fresh = BicliqueArray()
-        remap: dict[int, int] = {}
-        for old_id in sorted(referenced):
-            new_id, __ = fresh.add(self._array[old_id])
-            remap[old_id] = new_id
-        removed = len(self._array) - len(fresh)
-        for side in Side:
-            for tree in self._trees[side]:
-                for node in tree.walk():
-                    if node.biclique_id is not None:
-                        node.biclique_id = remap[node.biclique_id]
-        self._array = fresh
+        removed."""
+        compacted, removed = compact_index(self.index)
+        self._trees, self._array = compacted.trees, compacted.array
         return removed
 
     def stats(self) -> dict:
@@ -301,8 +268,6 @@ class DynamicPMBCIndex:
         out = {
             "trees_rebuilt": self.trees_rebuilt,
             "noop_updates": self.noop_updates,
-            "auto_compactions": self.auto_compactions,
-            "deletions_since_compact": self._deletions_since_compact,
             "kernel": self._kernel,
         }
         if self._inc is not None:
@@ -332,7 +297,7 @@ class DynamicPMBCIndex:
     def _rebuild(
         self, affected_upper: set[int], affected_lower: set[int]
     ) -> int:
-        # Packed kernels extract straight from the live adjacency; the
+        # The bitset kernel extracts straight from the live adjacency; the
         # set kernel still needs a materialized snapshot.
         if is_packed_kernel(self._kernel):
             graph, extractor = self._adj, self._adj.extract

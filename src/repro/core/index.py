@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.core.result import Biclique
@@ -251,3 +251,42 @@ class PMBCIndex:
             trees=trees,
             array=array,
         )
+
+
+def compact_index(index: PMBCIndex) -> tuple[PMBCIndex, int]:
+    """A copy of ``index`` without unreferenced bicliques.
+
+    Returns ``(compacted, removed)``.  Surviving bicliques keep their
+    relative order in ``A``.  The copy has its own trees and array, so
+    a reader still walking ``index`` is never disturbed.
+    """
+    referenced = sorted(
+        {
+            node.biclique_id
+            for side in Side
+            for tree in index.trees[side]
+            for node in tree.nodes
+            if node.biclique_id is not None
+        }
+    )
+    array = BicliqueArray()
+    remap = {old: array.add(index.array[old])[0] for old in referenced}
+    trees = {
+        side: [
+            SearchTree(
+                nodes=[
+                    replace(node, biclique_id=remap.get(node.biclique_id))
+                    for node in tree.nodes
+                ]
+            )
+            for tree in index.trees[side]
+        ]
+        for side in Side
+    }
+    compacted = PMBCIndex(
+        num_upper=index.num_upper,
+        num_lower=index.num_lower,
+        trees=trees,
+        array=array,
+    )
+    return compacted, len(index.array) - len(array)

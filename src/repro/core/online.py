@@ -61,10 +61,9 @@ def pmbc_online(
         constructor.  They are redundant for correctness (any
         constraint-valid candidate obeys them) and only prune search.
     kernel:
-        Compute kernel for the search (``"bitset"``/``"set"``/
-        ``"words"``); None defers to
-        :func:`repro.kernel.default_kernel`.  All kernels return
-        identical answers.
+        Compute kernel for the search (``"bitset"``/``"set"``); None
+        defers to :func:`repro.kernel.default_kernel`.  Both kernels
+        return identical answers.
     objective:
         Query-family name from the :mod:`repro.objectives` registry
         (default ``"pmbc"``); ``"balanced"`` maximizes ``min(|U|,|L|)``
@@ -293,10 +292,9 @@ def extract_local(
 ) -> LocalGraph:
     """Extract ``H_q`` via the extractor matched to the compute kernel.
 
-    The packed kernels (``"bitset"``/``"words"``) use the fused
-    extractor (adjacency packed straight into bitmasks, sets deferred);
-    both extractors produce interchangeable ``LocalGraph`` views of the
-    same subgraph.
+    The bitset kernel uses the fused extractor (adjacency packed
+    straight into bitmasks, sets deferred); both extractors produce
+    interchangeable ``LocalGraph`` views of the same subgraph.
     """
     if is_packed_kernel(kernel):
         return two_hop_packed(graph, side, q)

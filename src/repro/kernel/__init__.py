@@ -3,7 +3,7 @@
 Every query surface (``pmbc_online``/``pmbc_online_star``, the caching
 engine, the serving layer, index construction) funnels into the same
 branch-and-bound over candidate vertex sets.  This package provides
-three interchangeable implementations of that hot path — *kernels* —
+two interchangeable implementations of that hot path — *kernels* —
 plus the machinery to pick one:
 
 - ``"bitset"`` (the default) — candidate sets are Python ints used as
@@ -14,23 +14,17 @@ plus the machinery to pick one:
   magnitude on medium subgraphs — the same packed-set trick BBK
   (Baudin et al., 2024) and Chen et al. (2020) credit for their
   constant factors, with zero new dependencies.
-- ``"words"`` — the bitset kernel with the mutation-heavy reduction
-  loops rewritten over ``array('Q')`` word arrays
-  (:mod:`repro.kernel.words`): alive flags and degree counters mutate
-  in place, so the one-hop peeling cascade never reallocates a big int.
-  The branch-and-bound and all scan-heavy passes are shared with
-  ``"bitset"``.
 - ``"set"`` — the original ``frozenset`` implementation, kept forever
   as the differential-testing reference.
 
-All kernels explore the identical search tree (same candidate order,
+Both kernels explore the identical search tree (same candidate order,
 same pruning decisions, same recorded answers and obs counters); see
 ``docs/kernel.md`` for the argument and ``tests/property`` for the
 machine-checked version.
 
 Selection, in priority order: an explicit ``kernel=`` argument on the
-query/build API, :func:`set_default_kernel`, the ``PMBC_KERNEL``
-environment variable, then the built-in default ``"bitset"``.
+query/build API, the ``PMBC_KERNEL`` environment variable, then the
+built-in default ``"bitset"``.
 """
 
 from __future__ import annotations
@@ -47,10 +41,8 @@ from repro.kernel.packed import (
 
 __all__ = [
     "KERNEL_KINDS",
-    "PACKED_KERNELS",
     "DEFAULT_KERNEL",
     "default_kernel",
-    "set_default_kernel",
     "resolve_kernel",
     "is_packed_kernel",
     "PackedLocalGraph",
@@ -61,20 +53,13 @@ __all__ = [
 ]
 
 #: Valid ``kernel=`` selector values; CLI, config and env use these.
-KERNEL_KINDS = ("bitset", "set", "words")
-
-#: Kernels that run on the packed (mask-space) machinery.  They share
-#: the fused two-hop extractor, the packed view, the greedy seed and
-#: the branch-and-bound; they differ only in the reduction loops.
-PACKED_KERNELS = ("bitset", "words")
+KERNEL_KINDS = ("bitset", "set")
 
 #: The built-in default when nothing else selects a kernel.
 DEFAULT_KERNEL = "bitset"
 
 #: Environment variable consulted by :func:`default_kernel`.
 KERNEL_ENV_VAR = "PMBC_KERNEL"
-
-_override: str | None = None
 
 
 def _validate(kernel: str) -> str:
@@ -88,22 +73,13 @@ def _validate(kernel: str) -> str:
 def default_kernel() -> str:
     """The kernel used when no explicit ``kernel=`` is given.
 
-    :func:`set_default_kernel` takes precedence over the
-    ``PMBC_KERNEL`` environment variable, which takes precedence over
-    the built-in default (``"bitset"``).
+    The ``PMBC_KERNEL`` environment variable takes precedence over the
+    built-in default (``"bitset"``).
     """
-    if _override is not None:
-        return _override
     env = os.environ.get(KERNEL_ENV_VAR)
     if env:
         return _validate(env)
     return DEFAULT_KERNEL
-
-
-def set_default_kernel(kernel: str | None) -> None:
-    """Install a process-wide default kernel (None restores env/default)."""
-    global _override
-    _override = _validate(kernel) if kernel is not None else None
 
 
 def resolve_kernel(kernel: str | None = None) -> str:
@@ -119,4 +95,4 @@ def resolve_kernel(kernel: str | None = None) -> str:
 
 def is_packed_kernel(kernel: str) -> bool:
     """Whether a *resolved* kernel name runs on the packed machinery."""
-    return kernel in PACKED_KERNELS
+    return kernel == "bitset"

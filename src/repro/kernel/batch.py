@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 from repro.kernel.ops import reduce_alive
 from repro.kernel.packed import PackedLocalGraph
-from repro.kernel.words import reduce_alive_words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.subgraph import LocalGraph
@@ -63,20 +62,13 @@ def seed_reuse_count() -> int:
 
 def cached_reduce(
     packed: PackedLocalGraph,
-    kernel: str,
     tau_p: int,
     tau_w: int,
     alive_u: int,
     alive_l: int,
     use_two_hop: bool,
 ) -> tuple[int, int]:
-    """The reduction fixpoint of one progressive round, memoized.
-
-    The cache key excludes the kernel: ``"bitset"`` and ``"words"``
-    compute the identical fixpoint (machine-checked by the differential
-    suite), so a mixed-kernel workload on one cached extraction still
-    shares entries.
-    """
+    """The reduction fixpoint of one progressive round, memoized."""
     global _reduce_reuses
     memo = getattr(packed, "_reduce_memo", None)
     if memo is None:
@@ -87,8 +79,7 @@ def cached_reduce(
     if hit is not None:
         _reduce_reuses += 1
         return hit
-    fn = reduce_alive_words if kernel == "words" else reduce_alive
-    result = fn(
+    result = reduce_alive(
         packed, tau_p, tau_w, alive_u, alive_l, use_two_hop=use_two_hop
     )
     if len(memo) >= REDUCE_CACHE_CAP:

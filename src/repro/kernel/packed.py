@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.graph.bipartite import BipartiteGraph, Side
 from repro.graph.subgraph import LocalGraph
@@ -99,14 +99,6 @@ class PackedLocalGraph:
         """Translate a lower-bit mask back to local lower ids."""
         order = self.lower_order
         return frozenset(order[b] for b in iter_bits(mask))
-
-    def pack_lower(self, lower_locals: Iterable[int]) -> int:
-        """Pack local lower ids into a lower-bit mask."""
-        rank = self.lower_rank
-        mask = 0
-        for v in lower_locals:
-            mask |= 1 << rank[v]
-        return mask
 
 
 def _degree_order(adjacency: list[set[int]]) -> list[int]:

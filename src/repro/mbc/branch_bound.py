@@ -12,19 +12,17 @@ maintaining ``P`` as the exact set of upper vertices adjacent to all of
 - ``R`` — candidate lower vertices still addable;
 - ``X`` — lower vertices excluded earlier (for non-maximality pruning).
 
-Interchangeable compute kernels drive the recursion (selected per
-call, per engine, or process-wide — see :mod:`repro.kernel`):
+Two interchangeable compute kernels drive the recursion (selected per
+call, per engine, or by the ``PMBC_KERNEL`` environment variable — see
+:mod:`repro.kernel`):
 
 - ``"bitset"`` (default) — :mod:`repro.kernel.bitset`: the sets above
   are packed int bitmasks over degree-ordered local ids; intersections
   are big-int ``&`` and sizes are ``int.bit_count()``.
-- ``"words"`` — shares this bitmask recursion; it differs from
-  ``"bitset"`` only in the reduction passes (see
-  :mod:`repro.kernel.words`).
 - ``"set"`` — the original ``frozenset`` recursion in this module, the
   differential-testing reference.
 
-All kernels visit the same nodes, make the same pruning decisions and
+Both kernels visit the same nodes, make the same pruning decisions and
 return identical answers; the property suite asserts this on random
 graphs.
 
@@ -143,8 +141,8 @@ def branch_and_bound(
     ``config.protected_upper`` when that vertex is adjacent to all
     local lower vertices (true for an anchored two-hop subgraph).
 
-    ``kernel`` picks the compute kernel (``"bitset"``/``"set"``/
-    ``"words"``); None defers to :func:`repro.kernel.default_kernel`.
+    ``kernel`` picks the compute kernel (``"bitset"``/``"set"``); None
+    defers to :func:`repro.kernel.default_kernel`.
     """
     state = _SearchState(initial_best_size)
     if is_packed_kernel(resolve_kernel(kernel)):

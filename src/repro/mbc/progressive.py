@@ -57,7 +57,7 @@ class SearchOptions:
     prune_non_maximal: bool = True
 
     kernel: str | None = None
-    """Compute kernel (``"bitset"``/``"set"``/``"words"``) for the
+    """Compute kernel (``"bitset"``/``"set"``) for the
     reductions and Branch&Bound; None defers to
     :func:`repro.kernel.default_kernel`."""
 

@@ -15,15 +15,13 @@ removed (Lyu et al. [5]):
 Two-hop counting costs one wedge enumeration, so it is skipped when the
 estimated wedge count exceeds ``wedge_budget``.
 
-Like the Branch&Bound, the reductions run on any compute kernel (see
-:mod:`repro.kernel`): the packed kernels reuse the per-extraction
-packed adjacency (:func:`repro.kernel.pack_local`) and replace the
+Like the Branch&Bound, the reductions run on either compute kernel (see
+:mod:`repro.kernel`): the bitset kernel reuses the per-extraction
+packed adjacency (:func:`repro.kernel.pack_local`) and replaces the
 degree cascade and wedge enumeration with the mask-narrowing passes of
-:mod:`repro.kernel.ops` (``"bitset"``) or the in-place word-array
-peeling of :mod:`repro.kernel.words` (``"words"``).  All kernels kill
-vertices in the same order and compute the same survivor fixpoint, so
-the reduced subgraph — and the ``reduction`` prune counter derived from
-it — is identical.
+:mod:`repro.kernel.ops`.  Both kernels kill vertices in the same order
+and compute the same survivor fixpoint, so the reduced subgraph — and
+the ``reduction`` prune counter derived from it — is identical.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.graph.subgraph import LocalGraph
 from repro.kernel import is_packed_kernel, resolve_kernel
 from repro.kernel.ops import reduce_alive
 from repro.kernel.packed import iter_bits, pack_local
-from repro.kernel.words import reduce_alive_words
 
 #: Default cap on enumerated wedges before the two-hop rule is skipped.
 DEFAULT_WEDGE_BUDGET = 500_000
@@ -136,13 +133,9 @@ def reduce_preserving_maximum(
     kernel (None defers to :func:`repro.kernel.default_kernel`); both
     kernels produce the identical reduced subgraph.
     """
-    resolved = resolve_kernel(kernel)
-    if is_packed_kernel(resolved):
+    if is_packed_kernel(resolve_kernel(kernel)):
         packed = pack_local(local)
-        masked_reduce = (
-            reduce_alive_words if resolved == "words" else reduce_alive
-        )
-        alive_u, alive_l = masked_reduce(
+        alive_u, alive_l = reduce_alive(
             packed,
             tau_p,
             tau_w,

@@ -36,6 +36,7 @@ from repro.serve.server import (
     _BATCH_FIELDS,
     _QUERY_FIELDS,
     _UPDATE_FIELDS,
+    _content_length,
     _parse_flag,
     _parse_float,
     _parse_int,
@@ -54,8 +55,6 @@ from repro.serve.service import (
 )
 
 __all__ = ["AsyncPMBCServer", "aserve_forever"]
-
-_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class AsyncPMBCServer:
@@ -204,14 +203,12 @@ class AsyncPMBCServer:
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
                 try:
-                    length = int(headers.get("content-length") or 0)
-                except ValueError:
-                    length = -1
-                if not 0 <= length <= _MAX_BODY_BYTES:
+                    length = _content_length(headers.get("content-length"))
+                except InvalidRequestError as exc:
                     await self._respond(
                         writer,
                         400,
-                        {"error": "BadRequest", "detail": "bad content length"},
+                        {"error": type(exc).__name__, "detail": str(exc)},
                         keep_alive=False,
                     )
                     break

@@ -19,6 +19,14 @@ repairing (the old bounds stay valid-looser for the shrunk graph) —
 and hands ``(graph, affected)`` to each attached service, which swaps
 its serving graph and evicts the affected warm state.  ``affected``
 comes from :func:`~repro.core.dynamic.edge_affected_sets`.
+
+Rebuilt index trees strand the bicliques only their old versions
+referenced.  Once ``|A|`` has doubled since the index was mounted or
+last compacted, :func:`~repro.core.index.compact_index` drops them and
+the compacted copy is published as :attr:`LiveGraph.index`; readers
+fetch that attribute per lookup, so one still walking the old copy
+finishes on it.  A compaction walks the index once and follows at
+least as many added bicliques as it keeps.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 from repro.core.construction import build_search_tree
 from repro.core.dynamic import edge_affected_sets
-from repro.core.index import PMBCIndex, SearchTree
+from repro.core.index import PMBCIndex, SearchTree, compact_index
 from repro.corenum.bounds import CoreBounds
 from repro.corenum.incremental import IncrementalCoreBounds
 from repro.graph.bipartite import BipartiteGraph, Side
@@ -109,7 +117,8 @@ class LiveGraph:
         are off); repaired in place, so every holder observes updates.
     index:
         The mounted :class:`PMBCIndex`, if any; affected trees are
-        rebuilt in place once per batch.
+        rebuilt in place once per batch, and a compacted copy replaces
+        it whenever ``|A|`` doubles (module docstring).
     kernel:
         Compute kernel for index-tree rebuilds.
     metrics:
@@ -127,6 +136,7 @@ class LiveGraph:
         self.graph = graph
         self.bounds = bounds
         self.index = index
+        self._compact_at = self._compaction_threshold()
         self.kernel = resolve_kernel(kernel)
         self.lock = threading.Lock()
         self._services: list = []
@@ -306,8 +316,8 @@ class LiveGraph:
                 trees.append(SearchTree())
         index.num_upper = graph.num_upper
         index.num_lower = graph.num_lower
-        # Packed kernels extract straight from the live adjacency; the
-        # set kernel builds from the snapshot.
+        # The bitset kernel extracts straight from the live adjacency;
+        # the set kernel builds from the snapshot.
         if is_packed_kernel(self.kernel):
             source, extractor = self.adjacency, self.adjacency.extract
         else:
@@ -323,7 +333,16 @@ class LiveGraph:
                 kernel=self.kernel,
                 extractor=extractor,
             )
+        if len(index.array) >= self._compact_at:
+            self.index, __ = compact_index(index)
+            self._compact_at = self._compaction_threshold()
         return len(affected)
+
+    def _compaction_threshold(self) -> int:
+        """The ``|A|`` at which the mounted index is next compacted."""
+        if self.index is None:
+            return 0
+        return 2 * max(1, len(self.index.array))
 
     def stats(self) -> dict:
         """JSON-friendly update counters plus the live state's own stats."""

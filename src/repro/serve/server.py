@@ -94,6 +94,28 @@ _BATCH_ITEM_FIELDS = frozenset(
 _UPDATE_FIELDS = frozenset({"updates"})
 _UPDATE_ITEM_FIELDS = frozenset({"action", "u", "v"})
 
+#: Largest request body either front-end reads.
+_MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+def _content_length(raw: str | None) -> int:
+    """The body size a ``Content-Length`` header announces (0 if absent).
+
+    A non-integer, negative or over-cap value is an
+    :class:`InvalidRequestError`; the caller answers 400 and closes the
+    connection without reading the body.
+    """
+    try:
+        length = int(raw or 0)
+    except ValueError:
+        length = -1
+    if not 0 <= length <= _MAX_BODY_BYTES:
+        raise InvalidRequestError(
+            f"Content-Length must be an integer in [0, {_MAX_BODY_BYTES}],"
+            f" got {raw!r}"
+        )
+    return length
+
 
 def _reject_unknown(params: dict, allowed: frozenset, where: str) -> None:
     unknown = sorted(set(map(str, params)) - allowed)
@@ -409,14 +431,25 @@ class PMBCRequestHandler(BaseHTTPRequestHandler):
         """Route POST requests (/query and /query_batch)."""
         parsed = urlparse(self.path)
         route = parsed.path.rstrip("/")
+        try:
+            length = _content_length(self.headers.get("Content-Length"))
+        except InvalidRequestError as exc:
+            # The unread body makes the connection unusable.
+            self._send_json(
+                400,
+                {"error": type(exc).__name__, "detail": str(exc)},
+                extra_headers={"Connection": "close"},
+            )
+            return
+        # Read the body before any answer, even a 404: left unread on a
+        # keep-alive connection it would be parsed as the next request.
+        raw = self.rfile.read(length) if length else b"{}"
         if route not in ("/query", "/query_batch", "/update"):
             self._send_json(
                 404,
                 {"error": "NotFound", "detail": f"no route {parsed.path!r}"},
             )
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
         try:
             params = json.loads(raw or b"{}")
             if not isinstance(params, dict):

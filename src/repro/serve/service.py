@@ -74,7 +74,7 @@ from repro.exec.executor import (
 )
 from repro.exec.tasks import WorkerState
 from repro.graph.bipartite import BipartiteGraph, Side
-from repro.kernel import KERNEL_KINDS
+from repro.kernel import resolve_kernel
 from repro.objectives import get_objective, objective_kinds
 from repro.obs.metrics_bridge import publish_trace, register_search_metrics
 from repro.obs.ring import TraceRing
@@ -124,7 +124,7 @@ class ServiceConfig:
     cache_size:
         LRU capacity of the shared :class:`PMBCQueryEngine`.
     kernel:
-        Compute kernel (``"bitset"``/``"set"``/``"words"``) for every
+        Compute kernel (``"bitset"``/``"set"``) for every
         search the service runs — the shared engine, the process-pool
         workers and the adaptive builder all inherit it.  ``None``
         defers to :func:`repro.kernel.default_kernel`.
@@ -190,10 +190,8 @@ class ServiceConfig:
             raise ValueError(
                 f"default_deadline must be positive, got {self.default_deadline}"
             )
-        if self.kernel is not None and self.kernel not in KERNEL_KINDS:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}"
-            )
+        if self.kernel is not None:
+            resolve_kernel(self.kernel)
         if self.execution not in EXECUTION_KINDS:
             raise ValueError(
                 f"execution must be one of {EXECUTION_KINDS}, "
@@ -449,7 +447,7 @@ class PMBCService:
         if index is not None:
             self.backends.append(
                 _LookupBackend(
-                    "index", lambda r: pmbc_index_query(index, r)
+                    "index", lambda r: pmbc_index_query(self.live.index, r)
                 )
             )
         self._exec_backend = _Backend(

@@ -131,14 +131,14 @@ def test_index_query_counts_tree_visits(paper_graph):
 # cross-kernel parity
 
 
-KERNELS = ("set", "bitset", "words")
+KERNELS = ("set", "bitset")
 
 
 @pytest.mark.parametrize("query", [(Side.UPPER, 0), (Side.LOWER, 3)])
 def test_kernels_count_identical_events(skewed_graph, query):
-    """All compute kernels flush identical counters and prune tallies.
+    """Both compute kernels flush identical counters and prune tallies.
 
-    The packed kernels must be observationally equivalent, not just
+    The bitset kernel must be observationally equivalent, not just
     answer-equivalent: ``bb_nodes``, the prune counters behind
     ``pmbc_prune_total{rule=...}``, and the per-round records must all
     match the set kernel event for event.

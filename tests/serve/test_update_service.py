@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+from repro.bench.workloads import temporal_replay
+from repro.core import build_index_star, pmbc_index_query
 from repro.core.online import pmbc_online
 from repro.corenum.bounds import compute_bounds
 from repro.graph.bipartite import Side
@@ -123,6 +125,70 @@ def test_bounds_match_recompute_after_churn():
             assert live.z[side] == exact.z[side]
             assert live.prefix[side] == exact.prefix[side]
             assert live.suffix[side] == exact.suffix[side]
+
+
+def test_mounted_index_stays_compact_and_exact_under_churn():
+    """Rebuilt trees strand bicliques; the live index must drop them.
+
+    Without compaction ``|A|`` grows to several times a fresh build's
+    size on this stream; with it the served index stays under twice
+    the fresh size, and every answer is a valid biclique of the
+    current graph as large as a fresh build's (ties may differ in
+    membership).
+    """
+    graph = random_bipartite(20, 16, 0.25, seed=7)
+    events = [
+        (action, u, v)
+        for __, action, u, v in temporal_replay(graph, 120, seed=1)
+        if action != "query"
+    ]
+    with PMBCService(graph, index=build_index_star(graph)) as svc:
+        for at in range(0, len(events), 4):
+            svc.update_batch(events[at:at + 4])
+        fresh = build_index_star(svc.graph)
+        assert svc.live.index.num_bicliques < 2 * fresh.num_bicliques
+        for side in Side:
+            for x in range(svc.graph.num_vertices_on(side)):
+                for tau in (1, 2):
+                    got = svc.query(side, x, tau, tau)
+                    want = pmbc_index_query(fresh, side, x, tau, tau)
+                    assert got.backend == "index"
+                    if want is None:
+                        assert got.biclique is None, (side, x, tau)
+                        continue
+                    assert got.biclique.num_edges == want.num_edges
+                    assert got.biclique.contains(side, x)
+                    assert got.biclique.is_valid_in(svc.graph)
+
+
+def test_compaction_leaves_the_old_index_intact():
+    """A lookup that started on the pre-compaction index finishes on it.
+
+    Compaction publishes a copy; the object readers already hold must
+    keep answering exactly like the published one.
+    """
+    graph = random_bipartite(20, 16, 0.25, seed=7)
+    events = [
+        (action, u, v)
+        for __, action, u, v in temporal_replay(graph, 120, seed=1)
+        if action != "query"
+    ]
+    compactions = 0
+    with PMBCService(graph, index=build_index_star(graph)) as svc:
+        for at in range(0, len(events), 4):
+            old = svc.live.index
+            svc.update_batch(events[at:at + 4])
+            new = svc.live.index
+            if new is old:
+                continue
+            compactions += 1
+            assert new.num_bicliques < old.num_bicliques
+            for side in Side:
+                for x in range(svc.graph.num_vertices_on(side)):
+                    assert pmbc_index_query(old, side, x) == (
+                        pmbc_index_query(new, side, x)
+                    ), (side, x)
+    assert compactions >= 2
 
 
 def test_update_metrics_counters(service):
