@@ -34,7 +34,7 @@ Rebuilding a tree costs the same as during construction —
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Collection, Iterable
 
 from repro.core.construction import build_search_tree
 from repro.core.index import (
@@ -72,6 +72,41 @@ def edge_affected_sets(
     (rebuild) and :class:`repro.adaptive.PartialIndex` (evict).
     """
     return set(neighbors_of_v) | {u}, set(neighbors_of_u) | {v}
+
+
+def rebuild_trees(
+    trees: dict[Side, list[SearchTree]],
+    array: BicliqueArray,
+    affected: Collection[tuple[Side, int]],
+    adjacency: DynamicPackedAdjacency,
+    snapshot: Callable[[], BipartiteGraph],
+    bounds: CoreBounds | None,
+    kernel: str,
+) -> int:
+    """Rebuild the search tree of every affected ``(side, vertex)`` in place.
+
+    New bicliques go into the shared ``array``.  The bitset kernel
+    extracts straight from the live ``adjacency``; the set kernel
+    builds from the materialized ``snapshot()``.  Returns the number
+    of trees rebuilt.  This is the repair loop both
+    :class:`DynamicPMBCIndex` and :class:`repro.serve.live.LiveGraph`
+    run; each keeps its own growth and compaction.
+    """
+    if is_packed_kernel(kernel):
+        source, extractor = adjacency, adjacency.extract
+    else:
+        source, extractor = snapshot(), None
+    for side, x in affected:
+        trees[side][x] = build_search_tree(
+            source,
+            side,
+            x,
+            array,
+            bounds,
+            kernel=kernel,
+            extractor=extractor,
+        )
+    return len(affected)
 
 
 class DynamicPMBCIndex:
@@ -297,29 +332,17 @@ class DynamicPMBCIndex:
     def _rebuild(
         self, affected_upper: set[int], affected_lower: set[int]
     ) -> int:
-        # The bitset kernel extracts straight from the live adjacency; the
-        # set kernel still needs a materialized snapshot.
-        if is_packed_kernel(self._kernel):
-            graph, extractor = self._adj, self._adj.extract
-        else:
-            graph, extractor = self.graph(), None
-        bounds = self._current_bounds()
-        count = 0
-        for side, affected in (
-            (Side.UPPER, affected_upper),
-            (Side.LOWER, affected_lower),
-        ):
-            for x in affected:
-                self._trees[side][x] = build_search_tree(
-                    graph,
-                    side,
-                    x,
-                    self._array,
-                    bounds,
-                    kernel=self._kernel,
-                    extractor=extractor,
-                )
-                count += 1
+        affected = [(Side.UPPER, x) for x in affected_upper]
+        affected += [(Side.LOWER, x) for x in affected_lower]
+        count = rebuild_trees(
+            self._trees,
+            self._array,
+            affected,
+            self._adj,
+            self.graph,
+            self._current_bounds(),
+            self._kernel,
+        )
         self.trees_rebuilt += count
         return count
 

@@ -12,9 +12,10 @@ online search) into a shared, instrumented service:
 - :class:`~repro.serve.live.LiveGraph` — the streaming-update state a
   deployment shares (adjacency, incremental bounds, index repair,
   labelled snapshots), applying each ``POST /update`` batch once;
-- :class:`~repro.serve.server.PMBCServer` — ``http.server`` JSON
-  front-end (``/query``, ``/query_batch``, ``/healthz``,
-  ``/metrics``, ``/stats``), one thread per connection;
+- :mod:`~repro.serve.server` — the one HTTP route table (``/query``,
+  ``/query_batch``, ``/update``, ``/healthz``, ``/metrics``, ``/stats``,
+  ``/debug/traces``) and :class:`~repro.serve.server.PMBCServer`, its
+  ``http.server`` front-end, one thread per connection;
 - :class:`~repro.serve.aserver.AsyncPMBCServer` — the asyncio
   front-end serving the same schema while multiplexing many open
   connections on one event loop; pairs with the shard router
@@ -53,8 +54,8 @@ from repro.serve.service import (
     ServiceConfig,
     Submission,
 )
-from repro.serve.server import PMBCServer, serve_forever
-from repro.serve.aserver import AsyncPMBCServer, aserve_forever
+from repro.serve.server import PMBCServer
+from repro.serve.aserver import AsyncPMBCServer
 from repro.serve.client import PMBCClient, RemoteServiceError
 
 __all__ = [
@@ -64,9 +65,7 @@ __all__ = [
     "BatchResult",
     "Submission",
     "PMBCServer",
-    "serve_forever",
     "AsyncPMBCServer",
-    "aserve_forever",
     "PMBCClient",
     "RemoteServiceError",
     "MetricsRegistry",

@@ -1,10 +1,13 @@
 """An asyncio HTTP front-end multiplexing many open connections.
 
 :class:`AsyncPMBCServer` serves the same JSON schema and endpoints as
-the threaded :class:`~repro.serve.server.PMBCServer` (it reuses the
-same wire translation helpers, so the two cannot drift), but holds
-connections on a single event loop instead of one thread each: a
-request is **admitted** to the service without blocking
+the threaded :class:`~repro.serve.server.PMBCServer`.  Both front-ends
+answer every request through the one route table in
+:mod:`repro.serve.server` (:func:`~repro.serve.server.route_request`):
+routing, field checks, the service-free endpoints, rendering and error
+mapping are written once.  What differs is the transport: this server
+holds connections on a single event loop instead of one thread each.
+A query or batch is **admitted** to the service without blocking
 (:meth:`~repro.serve.service.PMBCService.admit` /
 :meth:`~repro.serve.service.ShardedService.admit`), its future is
 awaited as an asyncio future, and the connection costs no thread
@@ -26,27 +29,16 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import sys
 import threading
 from http.client import responses as _http_reasons
-from urllib.parse import parse_qs, urlparse
 
 from repro.serve.server import (
-    _BATCH_FIELDS,
-    _QUERY_FIELDS,
-    _UPDATE_FIELDS,
-    _content_length,
-    _parse_flag,
-    _parse_float,
-    _parse_int,
-    _reject_unknown,
-    build_query_request,
-    parse_batch_item,
-    parse_update_item,
-    render_batch_result,
-    render_result,
-    render_update_result,
+    Reply,
+    ServiceCall,
+    error_reply,
+    request_body_length,
+    route_request,
 )
 from repro.serve.service import (
     InvalidRequestError,
@@ -54,7 +46,7 @@ from repro.serve.service import (
     Submission,
 )
 
-__all__ = ["AsyncPMBCServer", "aserve_forever"]
+__all__ = ["AsyncPMBCServer"]
 
 
 class AsyncPMBCServer:
@@ -187,11 +179,9 @@ class AsyncPMBCServer:
                     break
                 parts = request_line.decode("latin-1").strip().split()
                 if len(parts) != 3:
+                    malformed = InvalidRequestError("malformed request line")
                     await self._respond(
-                        writer,
-                        400,
-                        {"error": "BadRequest", "detail": "malformed request line"},
-                        keep_alive=False,
+                        writer, error_reply(malformed), keep_alive=False
                     )
                     break
                 method, target, version = parts
@@ -203,13 +193,10 @@ class AsyncPMBCServer:
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
                 try:
-                    length = _content_length(headers.get("content-length"))
+                    length = request_body_length(headers)
                 except InvalidRequestError as exc:
                     await self._respond(
-                        writer,
-                        400,
-                        {"error": type(exc).__name__, "detail": str(exc)},
-                        keep_alive=False,
+                        writer, error_reply(exc), keep_alive=False
                     )
                     break
                 body = await reader.readexactly(length) if length else b""
@@ -217,21 +204,19 @@ class AsyncPMBCServer:
                     version == "HTTP/1.1"
                     and headers.get("connection", "").lower() != "close"
                 )
-                status, payload, content_type = await self._dispatch(
-                    method, target, body
-                )
+                reply = route_request(self.service, method, target, body)
+                if isinstance(reply, ServiceCall):
+                    call = reply
+                    try:
+                        reply = call.respond(await self._call(call))
+                    except ServeError as exc:
+                        reply = error_reply(exc)
                 if self.verbose:
                     print(
-                        f"aserve: {method} {target} -> {status}",
+                        f"aserve: {method} {target} -> {reply.status}",
                         file=sys.stderr,
                     )
-                await self._respond(
-                    writer,
-                    status,
-                    payload,
-                    content_type=content_type,
-                    keep_alive=keep_alive,
-                )
+                await self._respond(writer, reply, keep_alive=keep_alive)
                 if not keep_alive:
                     break
         except (
@@ -249,139 +234,37 @@ class AsyncPMBCServer:
     async def _respond(
         self,
         writer: asyncio.StreamWriter,
-        status: int,
-        payload,
-        content_type: str = "application/json",
-        keep_alive: bool = True,
+        reply: Reply,
+        keep_alive: bool,
     ) -> None:
-        if isinstance(payload, bytes):
-            body = payload
-        else:
-            body = json.dumps(payload, indent=2).encode() + b"\n"
-        reason = _http_reasons.get(status, "Unknown")
+        reason = _http_reasons.get(reply.status, "Unknown")
         head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
+            f"HTTP/1.1 {reply.status} {reason}\r\n"
+            f"Content-Type: {reply.content_type}\r\n"
+            f"Content-Length: {len(reply.body)}\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         )
-        if status == 429:
-            head += "Retry-After: 1\r\n"
-        writer.write(head.encode("latin-1") + b"\r\n" + body)
+        for name, value in reply.headers:
+            head += f"{name}: {value}\r\n"
+        writer.write(head.encode("latin-1") + b"\r\n" + reply.body)
         await writer.drain()
 
     # ------------------------------------------------------------------
-    # routing
+    # waiting for the service
 
-    #: Routes per method, for 404-vs-405 discrimination.
-    _GET_ROUTES = ("/healthz", "/metrics", "/stats", "/debug/traces", "/query")
-    _POST_ROUTES = ("/query", "/query_batch", "/update")
-
-    def _unknown(self, method: str, route: str) -> tuple[int, dict, str]:
-        """404 for unknown paths, 405 when the path exists elsewhere."""
-        if route in self._GET_ROUTES or route in self._POST_ROUTES:
-            return (
-                405,
-                {
-                    "error": "MethodNotAllowed",
-                    "detail": f"{route!r} does not accept {method}",
-                },
-                "application/json",
+    async def _call(self, call: ServiceCall):
+        """Run ``call`` on the service without blocking the loop."""
+        service = self.service
+        if call.name == "update_batch":
+            # update_batch blocks (bounded peeling cascade + tree
+            # repairs); run it off the loop so keep-alive connections
+            # stay serviced.
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(
+                None, service.update_batch, call.arg
             )
-        return (
-            404,
-            {"error": "NotFound", "detail": f"no route {route!r}"},
-            "application/json",
-        )
-
-    async def _dispatch(
-        self, method: str, target: str, body: bytes
-    ) -> tuple[int, object, str]:
-        parsed = urlparse(target)
-        route = parsed.path.rstrip("/") or "/"
-        if method == "GET":
-            params = {
-                key: values[-1]
-                for key, values in parse_qs(parsed.query).items()
-            }
-            if route == "/healthz":
-                if self.service.healthy():
-                    return 200, {"status": "ok"}, "application/json"
-                return 503, {"status": "unavailable"}, "application/json"
-            if route == "/metrics":
-                return (
-                    200,
-                    self.service.metrics.render().encode(),
-                    "text/plain; version=0.0.4",
-                )
-            if route == "/stats":
-                return 200, self.service.stats(), "application/json"
-            if route == "/debug/traces":
-                return self._debug_traces(params)
-            if route == "/query":
-                return await self._query(params)
-            return self._unknown(method, route)
-        if method == "POST":
-            if route not in self._POST_ROUTES:
-                return self._unknown(method, route)
-            try:
-                params = json.loads(body or b"{}")
-                if not isinstance(params, dict):
-                    raise ValueError("body must be a JSON object")
-            except ValueError as exc:
-                return (
-                    400,
-                    {"error": "InvalidRequestError", "detail": str(exc)},
-                    "application/json",
-                )
-            if route == "/query_batch":
-                return await self._query_batch(params)
-            if route == "/update":
-                return await self._update(params)
-            return await self._query(params)
-        return (
-            405,
-            {"error": "MethodNotAllowed", "detail": f"no {method} routes"},
-            "application/json",
-        )
-
-    def _debug_traces(self, params: dict) -> tuple[int, dict, str]:
-        ring = self.service.traces
-        trace_id = params.get("id")
-        if trace_id is not None:
-            trace = ring.find(str(trace_id))
-            if trace is None:
-                return (
-                    404,
-                    {
-                        "error": "NotFound",
-                        "detail": f"no buffered trace {trace_id!r}",
-                    },
-                    "application/json",
-                )
-            return 200, {"trace": trace}, "application/json"
-        try:
-            limit = _parse_int(params, "limit", default=20)
-        except ServeError as exc:
-            return self._error(exc)
-        return (
-            200,
-            {
-                "buffered": len(ring),
-                "capacity": ring.capacity,
-                "recorded": ring.total_recorded,
-                "traces": ring.snapshot(limit=limit),
-            },
-            "application/json",
-        )
-
-    @staticmethod
-    def _error(exc: ServeError) -> tuple[int, dict, str]:
-        return (
-            exc.http_status,
-            {"error": type(exc).__name__, "detail": str(exc)},
-            "application/json",
-        )
+        admit = service.admit if call.name == "query" else service.admit_batch
+        return await self._settle(admit(call.arg, **call.options))
 
     async def _settle(self, submission: Submission):
         """Await a submission, running the expiry race on timeout.
@@ -402,93 +285,3 @@ class AsyncPMBCServer:
         except asyncio.TimeoutError:
             submission.expire()
             return await wrapped
-
-    async def _query(self, params: dict) -> tuple[int, dict, str]:
-        graph = self.service.graph
-        try:
-            _reject_unknown(params, _QUERY_FIELDS, "query")
-            request = build_query_request(graph, params, "query")
-            deadline = _parse_float(params, "deadline")
-            verify = _parse_flag(params, "verify")
-            explain = _parse_flag(params, "explain")
-            submission = self.service.admit(
-                request, deadline=deadline, explain=explain
-            )
-        except ServeError as exc:
-            return self._error(exc)
-        try:
-            result = await self._settle(submission)
-        except ServeError as exc:
-            return self._error(exc)
-        return 200, render_result(graph, result, request, verify), (
-            "application/json"
-        )
-
-    async def _query_batch(self, params: dict) -> tuple[int, dict, str]:
-        graph = self.service.graph
-        try:
-            _reject_unknown(params, _BATCH_FIELDS, "batch")
-            queries = params.get("queries")
-            if not isinstance(queries, list) or not queries:
-                raise InvalidRequestError(
-                    "'queries' must be a non-empty JSON array"
-                )
-            requests = [
-                parse_batch_item(graph, item, position)
-                for position, item in enumerate(queries)
-            ]
-            deadline = _parse_float(params, "deadline")
-            explain = _parse_flag(params, "explain")
-            submission = self.service.admit_batch(
-                requests, deadline=deadline, explain=explain
-            )
-        except ServeError as exc:
-            return self._error(exc)
-        try:
-            result = await self._settle(submission)
-        except ServeError as exc:
-            return self._error(exc)
-        return 200, render_batch_result(graph, requests, result), (
-            "application/json"
-        )
-
-    async def _update(self, params: dict) -> tuple[int, dict, str]:
-        try:
-            _reject_unknown(params, _UPDATE_FIELDS, "update")
-            updates = params.get("updates")
-            if not isinstance(updates, list) or not updates:
-                raise InvalidRequestError(
-                    "'updates' must be a non-empty JSON array"
-                )
-            ops = [
-                parse_update_item(item, position)
-                for position, item in enumerate(updates)
-            ]
-        except ServeError as exc:
-            return self._error(exc)
-        # update_batch blocks (bounded peeling cascade + tree repairs);
-        # run it off the loop so keep-alive connections stay serviced.
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(
-                None, self.service.update_batch, ops
-            )
-        except ServeError as exc:
-            return self._error(exc)
-        return 200, render_update_result(result), "application/json"
-
-
-def aserve_forever(
-    service,
-    host: str = "127.0.0.1",
-    port: int = 8642,
-    verbose: bool = False,
-) -> None:
-    """Convenience: run an async server until interrupted."""
-    server = AsyncPMBCServer(service, host=host, port=port, verbose=verbose)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()

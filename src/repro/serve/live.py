@@ -36,13 +36,12 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.core.construction import build_search_tree
-from repro.core.dynamic import edge_affected_sets
+from repro.core.dynamic import edge_affected_sets, rebuild_trees
 from repro.core.index import PMBCIndex, SearchTree, compact_index
 from repro.corenum.bounds import CoreBounds
 from repro.corenum.incremental import IncrementalCoreBounds
 from repro.graph.bipartite import BipartiteGraph, Side
-from repro.kernel import is_packed_kernel, resolve_kernel
+from repro.kernel import resolve_kernel
 from repro.kernel.dynadj import DynamicPackedAdjacency
 from repro.serve.errors import InvalidRequestError
 from repro.serve.metrics import MetricsRegistry
@@ -316,27 +315,19 @@ class LiveGraph:
                 trees.append(SearchTree())
         index.num_upper = graph.num_upper
         index.num_lower = graph.num_lower
-        # The bitset kernel extracts straight from the live adjacency;
-        # the set kernel builds from the snapshot.
-        if is_packed_kernel(self.kernel):
-            source, extractor = self.adjacency, self.adjacency.extract
-        else:
-            source, extractor = graph, None
-        for side, x in affected:
-            index.trees[side][x] = build_search_tree(
-                source,
-                side,
-                x,
-                index.array,
-                self.bounds,
-                None,
-                kernel=self.kernel,
-                extractor=extractor,
-            )
+        repaired = rebuild_trees(
+            index.trees,
+            index.array,
+            affected,
+            self.adjacency,
+            lambda: graph,
+            self.bounds,
+            self.kernel,
+        )
         if len(index.array) >= self._compact_at:
             self.index, __ = compact_index(index)
             self._compact_at = self._compaction_threshold()
-        return len(affected)
+        return repaired
 
     def _compaction_threshold(self) -> int:
         """The ``|A|`` at which the mounted index is next compacted."""

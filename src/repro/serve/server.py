@@ -1,4 +1,4 @@
-"""A stdlib HTTP/JSON front-end over :class:`PMBCService`.
+"""The HTTP/JSON route table over :class:`PMBCService`, and its threaded front-end.
 
 Endpoints:
 
@@ -30,9 +30,18 @@ Requests are validated against schema version :data:`SCHEMA_VERSION`
 ``objective`` is a typed 400 error body, never a silent default or an
 opaque 500.
 
+Every endpoint is written once, in the route table below:
+:func:`route_request` resolves the path and method (404 / 405), decodes
+and checks the fields, and either answers at once with a :class:`Reply`
+or hands back a :class:`ServiceCall` for the transport to run.  The two
+transports — :class:`PMBCRequestHandler` here and
+:class:`~repro.serve.aserver.AsyncPMBCServer` — only frame requests
+(:func:`request_body_length`), write the reply bytes, and wait for the
+service each in their own way.
+
 Service errors map to HTTP statuses: invalid request → 400, queue full
 → 429 (with ``Retry-After``), deadline exceeded → 504, shutting down →
-503, backend exhaustion → 500.  The server is a
+503, backend exhaustion → 500.  The threaded server is a
 ``ThreadingHTTPServer``: each connection gets a thread, but actual
 query work is bounded by the service's queue and worker pool.
 """
@@ -41,7 +50,9 @@ from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, NamedTuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.query import QueryRequest
@@ -51,23 +62,18 @@ from repro.serve.service import (
     InvalidRequestError,
     PMBCService,
     QueryResult,
-    QueueFullError,
     ServeError,
 )
 
 __all__ = [
     "SCHEMA_VERSION",
+    "Reply",
+    "ServiceCall",
+    "route_request",
+    "error_reply",
+    "request_body_length",
     "PMBCRequestHandler",
     "PMBCServer",
-    "serve_forever",
-    "build_query_request",
-    "parse_batch_item",
-    "parse_update_item",
-    "render_biclique",
-    "render_result",
-    "render_batch_result",
-    "render_update_result",
-    "resolve_vertex",
 ]
 
 #: Version of the JSON request/response schema.  Bumped whenever a
@@ -81,30 +87,38 @@ __all__ = [
 #: :class:`~repro.serve.service.UpdateResult`-shaped response payload.
 SCHEMA_VERSION = 4
 
-_QUERY_FIELDS = frozenset(
-    {
-        "side", "vertex", "label", "tau_u", "tau_l",
-        "deadline", "verify", "explain", "trace_id", "objective",
-    }
+#: The fields each endpoint accepts.  A field mapped to a table is a
+#: non-empty JSON array of objects, each checked against that table.
+_BATCH_ITEM_FIELDS = dict.fromkeys(
+    ("side", "vertex", "label", "tau_u", "tau_l", "trace_id", "objective")
 )
-_BATCH_FIELDS = frozenset({"queries", "deadline", "explain"})
-_BATCH_ITEM_FIELDS = frozenset(
-    {"side", "vertex", "label", "tau_u", "tau_l", "trace_id", "objective"}
+_QUERY_FIELDS = dict.fromkeys(
+    (*_BATCH_ITEM_FIELDS, "deadline", "verify", "explain")
 )
-_UPDATE_FIELDS = frozenset({"updates"})
-_UPDATE_ITEM_FIELDS = frozenset({"action", "u", "v"})
+_BATCH_FIELDS = {
+    "queries": _BATCH_ITEM_FIELDS, "deadline": None, "explain": None
+}
+_UPDATE_ITEM_FIELDS = dict.fromkeys(("action", "u", "v"))
+_UPDATE_FIELDS = {"updates": _UPDATE_ITEM_FIELDS}
 
 #: Largest request body either front-end reads.
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
-def _content_length(raw: str | None) -> int:
-    """The body size a ``Content-Length`` header announces (0 if absent).
+def request_body_length(headers) -> int:
+    """The body size a request's headers announce (0 if none).
 
-    A non-integer, negative or over-cap value is an
+    ``headers.get`` takes a lower-case header name.  A
+    ``Transfer-Encoding`` (neither front-end decodes chunked bodies) or
+    a non-integer, negative or over-cap ``Content-Length`` is an
     :class:`InvalidRequestError`; the caller answers 400 and closes the
     connection without reading the body.
     """
+    if headers.get("transfer-encoding") is not None:
+        raise InvalidRequestError(
+            "Transfer-Encoding is not supported; send a Content-Length body"
+        )
+    raw = headers.get("content-length")
     try:
         length = int(raw or 0)
     except ValueError:
@@ -117,13 +131,33 @@ def _content_length(raw: str | None) -> int:
     return length
 
 
-def _reject_unknown(params: dict, allowed: frozenset, where: str) -> None:
-    unknown = sorted(set(map(str, params)) - allowed)
+def _reject_unknown(params: dict, allowed: dict, where: str) -> None:
+    unknown = sorted(set(map(str, params)) - allowed.keys())
     if unknown:
         raise InvalidRequestError(
             f"unknown {where} field(s): {', '.join(map(repr, unknown))} "
             f"(schema v{SCHEMA_VERSION})"
         )
+
+
+def _check_fields(params: dict, fields: dict, where: str) -> None:
+    """Reject unknown fields, then check each array of objects in turn."""
+    _reject_unknown(params, fields, where)
+    for name, item_fields in fields.items():
+        if item_fields is None:
+            continue
+        items = params.get(name)
+        if not isinstance(items, list) or not items:
+            raise InvalidRequestError(
+                f"{name!r} must be a non-empty JSON array"
+            )
+        for position, item in enumerate(items):
+            item_where = f"{name}[{position}]"
+            if not isinstance(item, dict):
+                raise InvalidRequestError(
+                    f"{item_where} must be a JSON object"
+                )
+            _check_fields(item, item_fields, item_where)
 
 
 def _parse_side(raw: str) -> Side:
@@ -167,12 +201,19 @@ def _parse_flag(params: dict, name: str) -> bool:
     return str(raw).lower() in ("1", "true", "yes")
 
 
+def _admission(params: dict) -> dict:
+    """The ``deadline``/``explain`` options of a query or batch."""
+    return {
+        "deadline": _parse_float(params, "deadline"),
+        "explain": _parse_flag(params, "explain"),
+    }
+
+
 # ----------------------------------------------------------------------
-# wire <-> domain translation, shared by the threaded front-end below
-# and the asyncio front-end (repro.serve.aserver)
+# wire <-> domain translation
 
 
-def resolve_vertex(graph, params: dict, side: Side) -> int:
+def _resolve_vertex(graph, params: dict, side: Side) -> int:
     """The dense vertex id from a ``vertex`` or ``label`` wire field."""
     label = params.get("label")
     if label is not None:
@@ -185,7 +226,7 @@ def resolve_vertex(graph, params: dict, side: Side) -> int:
     return _parse_int(params, "vertex")
 
 
-def build_query_request(graph, params: dict, where: str) -> QueryRequest:
+def _build_query_request(graph, params: dict, where: str) -> QueryRequest:
     """A validated :class:`QueryRequest` from wire fields.
 
     Structural violations — an unregistered objective, a non-string
@@ -193,7 +234,7 @@ def build_query_request(graph, params: dict, where: str) -> QueryRequest:
     rather than an opaque 500.
     """
     side = _parse_side(str(params.get("side", "")))
-    vertex = resolve_vertex(graph, params, side)
+    vertex = _resolve_vertex(graph, params, side)
     tau_u = _parse_int(params, "tau_u", default=1)
     tau_l = _parse_int(params, "tau_l", default=1)
     trace_id = params.get("trace_id")
@@ -210,18 +251,18 @@ def build_query_request(graph, params: dict, where: str) -> QueryRequest:
         raise InvalidRequestError(f"{where}: {exc}") from None
 
 
-def parse_batch_item(graph, item, position: int) -> QueryRequest:
-    """One validated batch entry (``queries[position]``)."""
-    if not isinstance(item, dict):
+def _update_op(item: dict, position: int) -> tuple[str, int, int]:
+    """One checked ``updates[position]`` entry as an op triple."""
+    missing = sorted(_UPDATE_ITEM_FIELDS.keys() - item.keys())
+    if missing:
         raise InvalidRequestError(
-            f"queries[{position}] must be a JSON object"
+            f"updates[{position}] missing field(s): "
+            f"{', '.join(map(repr, missing))}"
         )
-    where = f"queries[{position}]"
-    _reject_unknown(item, _BATCH_ITEM_FIELDS, where)
-    return build_query_request(graph, item, where)
+    return (item["action"], item["u"], item["v"])
 
 
-def render_biclique(graph, biclique) -> dict | None:
+def _render_biclique(graph, biclique) -> dict | None:
     """The JSON shape of one answer (or None for an empty answer)."""
     if biclique is None:
         return None
@@ -234,7 +275,7 @@ def render_biclique(graph, biclique) -> dict | None:
     }
 
 
-def render_result(
+def _render_result(
     graph,
     result: QueryResult,
     request: QueryRequest,
@@ -259,7 +300,7 @@ def render_result(
     if result.shard is not None:
         payload["shard"] = result.shard
     biclique = result.biclique
-    payload["result"] = render_biclique(graph, biclique)
+    payload["result"] = _render_biclique(graph, biclique)
     if result.trace is not None:
         payload["trace"] = result.trace
     if verify:
@@ -280,23 +321,7 @@ def render_result(
     return payload
 
 
-def parse_update_item(item, position: int) -> tuple[str, int, int]:
-    """One validated ``updates[position]`` entry as an op triple."""
-    if not isinstance(item, dict):
-        raise InvalidRequestError(
-            f"updates[{position}] must be a JSON object"
-        )
-    _reject_unknown(item, _UPDATE_ITEM_FIELDS, f"updates[{position}]")
-    missing = sorted(_UPDATE_ITEM_FIELDS - set(item))
-    if missing:
-        raise InvalidRequestError(
-            f"updates[{position}] missing field(s): "
-            f"{', '.join(map(repr, missing))}"
-        )
-    return (item["action"], item["u"], item["v"])
-
-
-def render_update_result(result) -> dict:
+def _render_update_result(result) -> dict:
     """The full ``POST /update`` success payload."""
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -314,7 +339,7 @@ def render_update_result(result) -> dict:
     return payload
 
 
-def render_batch_result(graph, requests, result) -> dict:
+def _render_batch_result(graph, requests, result) -> dict:
     """The full ``/query_batch`` success payload."""
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -326,7 +351,7 @@ def render_batch_result(graph, requests, result) -> dict:
         "results": [
             {
                 "query": request.to_json(),
-                "result": render_biclique(graph, biclique),
+                "result": _render_biclique(graph, biclique),
             }
             for request, biclique in zip(requests, result.bicliques)
         ],
@@ -338,14 +363,188 @@ def render_batch_result(graph, requests, result) -> dict:
     return payload
 
 
+# ----------------------------------------------------------------------
+# the route table
+
+
+class Reply(NamedTuple):
+    """A finished HTTP answer, ready for a transport to write."""
+
+    status: int
+    body: bytes
+    content_type: str = "application/json"
+    headers: tuple[tuple[str, str], ...] = ()
+
+
+def _reply(status: int, payload, headers=()) -> Reply:
+    body = json.dumps(payload, indent=2).encode() + b"\n"
+    return Reply(status, body, headers=headers)
+
+
+def _error(status: int, name: str, detail: str) -> Reply:
+    headers = (("Retry-After", "1"),) if status == 429 else ()
+    return _reply(status, {"error": name, "detail": detail}, headers)
+
+
+def error_reply(exc: ServeError) -> Reply:
+    """The JSON error reply for a service error (its status and name)."""
+    return _error(exc.http_status, type(exc).__name__, str(exc))
+
+
+class ServiceCall(NamedTuple):
+    """A checked request that still has to run on the service.
+
+    ``name`` is the blocking service method — ``query``,
+    ``query_batch`` or ``update_batch`` — to call as
+    ``name(arg, **options)``; :meth:`respond` renders its result.
+    """
+
+    name: str
+    arg: Any
+    options: dict
+    render: Callable[[Any], dict]
+
+    def respond(self, result) -> Reply:
+        """The 200 reply carrying the rendered ``result``."""
+        return _reply(200, self.render(result))
+
+
+def _healthz(service, params: dict) -> Reply:
+    if service.healthy():
+        return _reply(200, {"status": "ok"})
+    return _reply(503, {"status": "unavailable"})
+
+
+def _metrics(service, params: dict) -> Reply:
+    body = service.metrics.render().encode()
+    return Reply(200, body, "text/plain; version=0.0.4")
+
+
+def _stats(service, params: dict) -> Reply:
+    return _reply(200, service.stats())
+
+
+def _debug_traces(service, params: dict) -> Reply:
+    ring = service.traces
+    trace_id = params.get("id")
+    if trace_id is not None:
+        trace = ring.find(str(trace_id))
+        if trace is None:
+            return _error(404, "NotFound", f"no buffered trace {trace_id!r}")
+        return _reply(200, {"trace": trace})
+    limit = _parse_int(params, "limit", default=20)
+    return _reply(
+        200,
+        {
+            "buffered": len(ring),
+            "capacity": ring.capacity,
+            "recorded": ring.total_recorded,
+            "traces": ring.snapshot(limit=limit),
+        },
+    )
+
+
+def _query(service, params: dict) -> ServiceCall:
+    graph = service.graph
+    request = _build_query_request(graph, params, "query")
+    verify = _parse_flag(params, "verify")
+    return ServiceCall(
+        "query",
+        request,
+        _admission(params),
+        lambda result: _render_result(graph, result, request, verify),
+    )
+
+
+def _query_batch(service, params: dict) -> ServiceCall:
+    graph = service.graph
+    requests = [
+        _build_query_request(graph, item, f"queries[{position}]")
+        for position, item in enumerate(params["queries"])
+    ]
+    return ServiceCall(
+        "query_batch",
+        requests,
+        _admission(params),
+        lambda result: _render_batch_result(graph, requests, result),
+    )
+
+
+def _update(service, params: dict) -> ServiceCall:
+    ops = [
+        _update_op(item, position)
+        for position, item in enumerate(params["updates"])
+    ]
+    return ServiceCall("update_batch", ops, {}, _render_update_result)
+
+
+#: path -> (methods, handler, (name, fields) checked before the handler).
+_ROUTES = {
+    "/healthz": (("GET",), _healthz, None),
+    "/metrics": (("GET",), _metrics, None),
+    "/stats": (("GET",), _stats, None),
+    "/debug/traces": (("GET",), _debug_traces, None),
+    "/query": (("GET", "POST"), _query, ("query", _QUERY_FIELDS)),
+    "/query_batch": (("POST",), _query_batch, ("batch", _BATCH_FIELDS)),
+    "/update": (("POST",), _update, ("update", _UPDATE_FIELDS)),
+}
+
+
+def route_request(
+    service, method: str, target: str, body: bytes
+) -> Reply | ServiceCall:
+    """Everything one request needs short of the socket and the wait.
+
+    Resolves the route (404 for an unknown path, 405 for a known path
+    with the wrong method), decodes the query string or JSON body,
+    checks the fields and answers the endpoints that need no service
+    call.  A query, batch or update comes back as a
+    :class:`ServiceCall`; every failure comes back as a JSON error
+    :class:`Reply`.
+    """
+    parsed = urlparse(target)
+    path = parsed.path.rstrip("/") or "/"
+    if path not in _ROUTES:
+        return _error(404, "NotFound", f"no route {path!r}")
+    methods, handler, checked = _ROUTES[path]
+    if method not in methods:
+        return _error(
+            405, "MethodNotAllowed", f"{path!r} does not accept {method}"
+        )
+    try:
+        if method == "POST":
+            try:
+                params = json.loads(body or b"{}")
+            except ValueError as exc:
+                raise InvalidRequestError(str(exc)) from None
+            if not isinstance(params, dict):
+                raise InvalidRequestError("body must be a JSON object")
+        else:
+            params = {
+                key: values[-1]
+                for key, values in parse_qs(parsed.query).items()
+            }
+        if checked is not None:
+            where, fields = checked
+            _check_fields(params, fields, where)
+        return handler(service, params)
+    except ServeError as exc:
+        return error_reply(exc)
+
+
+# ----------------------------------------------------------------------
+# the threaded transport
+
+
 class PMBCRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the owning server's ``service``."""
+    """Serves each request through :func:`route_request`, one thread each.
+
+    A :class:`ServiceCall` runs on the connection's thread through the
+    service's blocking ``query``/``query_batch``/``update_batch``.
+    """
 
     server_version = "pmbc-serve/1.0"
     protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------------
-    # plumbing
 
     @property
     def service(self) -> PMBCService:
@@ -357,221 +556,70 @@ class PMBCRequestHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        """Serve a GET request."""
+        self._serve("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        """Serve a POST request."""
+        self._serve("POST")
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """Answer http.server's own rejections with a JSON error body.
+
+        http.server calls this for a malformed request line (400), an
+        unsupported method (501) and an over-long line or header block
+        (414/431).  A malformed line leaves the version at HTTP/0.9,
+        whose replies carry no status line, so the reply is HTTP/1.1.
+        """
+        self.log_error("code %d, message %s", code, message)
+        self.request_version = self.protocol_version
+        status = HTTPStatus(code)
+        if status == HTTPStatus.BAD_REQUEST:
+            reply = error_reply(InvalidRequestError(message or status.phrase))
+        else:
+            name = status.phrase.replace(" ", "").replace("-", "")
+            reply = _error(code, name, message or status.phrase)
+        self._write(reply, close=True)
+
+    def _serve(self, method: str) -> None:
+        try:
+            length = request_body_length(self.headers)
+        except InvalidRequestError as exc:
+            # The unread body makes the connection unusable.
+            self._write(error_reply(exc), close=True)
+            return
+        # Read the body before any answer, even a 404: left unread on a
+        # keep-alive connection it would be parsed as the next request.
+        body = self.rfile.read(length) if length else b""
+        reply = route_request(self.service, method, self.path, body)
+        if isinstance(reply, ServiceCall):
+            call = reply
+            try:
+                result = getattr(self.service, call.name)(
+                    call.arg, **call.options
+                )
+                reply = call.respond(result)
+            except ServeError as exc:
+                reply = error_reply(exc)
+        self._write(reply)
+
+    def _write(self, reply: Reply, close: bool = False) -> None:
+        self.send_response(reply.status)
+        self.send_header("Content-Type", reply.content_type)
+        self.send_header("Content-Length", str(len(reply.body)))
+        for name, value in reply.headers:
             self.send_header(name, value)
+        if close:
+            self.send_header("Connection", "close")
         # Head and body leave in one write: flushing the head first
         # (end_headers) would let Nagle's algorithm hold the body until
         # the client's delayed ACK on a keep-alive connection.
         head = getattr(self, "_headers_buffer", [])  # none on HTTP/0.9
         if head:
             head.append(b"\r\n")
-        self.wfile.write(b"".join(head) + body)
+        self.wfile.write(b"".join(head) + reply.body)
         self._headers_buffer = []
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, indent=2).encode() + b"\n"
-        self._send(status, body, extra_headers=extra_headers)
-
-    def _send_error_json(self, exc: ServeError) -> None:
-        headers = {}
-        if isinstance(exc, QueueFullError):
-            headers["Retry-After"] = "1"
-        self._send_json(
-            exc.http_status,
-            {"error": type(exc).__name__, "detail": str(exc)},
-            extra_headers=headers,
-        )
-
-    # ------------------------------------------------------------------
-    # routing
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Route GET requests (healthz/metrics/stats/query/debug)."""
-        parsed = urlparse(self.path)
-        route = parsed.path.rstrip("/") or "/"
-        if route == "/healthz":
-            self._handle_healthz()
-        elif route == "/metrics":
-            self._handle_metrics()
-        elif route == "/stats":
-            self._handle_stats()
-        elif route == "/debug/traces":
-            params = {
-                key: values[-1]
-                for key, values in parse_qs(parsed.query).items()
-            }
-            self._handle_debug_traces(params)
-        elif route == "/query":
-            params = {
-                key: values[-1]
-                for key, values in parse_qs(parsed.query).items()
-            }
-            self._handle_query(params)
-        else:
-            self._send_json(
-                404, {"error": "NotFound", "detail": f"no route {route!r}"}
-            )
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        """Route POST requests (/query and /query_batch)."""
-        parsed = urlparse(self.path)
-        route = parsed.path.rstrip("/")
-        try:
-            length = _content_length(self.headers.get("Content-Length"))
-        except InvalidRequestError as exc:
-            # The unread body makes the connection unusable.
-            self._send_json(
-                400,
-                {"error": type(exc).__name__, "detail": str(exc)},
-                extra_headers={"Connection": "close"},
-            )
-            return
-        # Read the body before any answer, even a 404: left unread on a
-        # keep-alive connection it would be parsed as the next request.
-        raw = self.rfile.read(length) if length else b"{}"
-        if route not in ("/query", "/query_batch", "/update"):
-            self._send_json(
-                404,
-                {"error": "NotFound", "detail": f"no route {parsed.path!r}"},
-            )
-            return
-        try:
-            params = json.loads(raw or b"{}")
-            if not isinstance(params, dict):
-                raise ValueError("body must be a JSON object")
-        except ValueError as exc:
-            self._send_json(
-                400, {"error": "InvalidRequestError", "detail": str(exc)}
-            )
-            return
-        if route == "/query_batch":
-            self._handle_query_batch(params)
-        elif route == "/update":
-            self._handle_update(params)
-        else:
-            self._handle_query(params)
-
-    # ------------------------------------------------------------------
-    # handlers
-
-    def _handle_healthz(self) -> None:
-        if self.service.healthy():
-            self._send_json(200, {"status": "ok"})
-        else:
-            self._send_json(503, {"status": "unavailable"})
-
-    def _handle_metrics(self) -> None:
-        body = self.service.metrics.render().encode()
-        self._send(200, body, content_type="text/plain; version=0.0.4")
-
-    def _handle_stats(self) -> None:
-        self._send_json(200, self.service.stats())
-
-    def _handle_debug_traces(self, params: dict) -> None:
-        trace_id = params.get("id")
-        if trace_id is not None:
-            trace = self.service.traces.find(str(trace_id))
-            if trace is None:
-                self._send_json(
-                    404,
-                    {
-                        "error": "NotFound",
-                        "detail": f"no buffered trace {trace_id!r}",
-                    },
-                )
-                return
-            self._send_json(200, {"trace": trace})
-            return
-        try:
-            limit = _parse_int(params, "limit", default=20)
-        except ServeError as exc:
-            self._send_error_json(exc)
-            return
-        ring = self.service.traces
-        self._send_json(
-            200,
-            {
-                "buffered": len(ring),
-                "capacity": ring.capacity,
-                "recorded": ring.total_recorded,
-                "traces": ring.snapshot(limit=limit),
-            },
-        )
-
-    def _handle_query(self, params: dict) -> None:
-        service = self.service
-        graph = service.graph
-        try:
-            _reject_unknown(params, _QUERY_FIELDS, "query")
-            request = build_query_request(graph, params, "query")
-            deadline = _parse_float(params, "deadline")
-            verify = _parse_flag(params, "verify")
-            explain = _parse_flag(params, "explain")
-            result = service.query(
-                request, deadline=deadline, explain=explain
-            )
-        except ServeError as exc:
-            self._send_error_json(exc)
-            return
-        self._send_json(200, render_result(graph, result, request, verify))
-
-    def _handle_query_batch(self, params: dict) -> None:
-        service = self.service
-        graph = service.graph
-        try:
-            _reject_unknown(params, _BATCH_FIELDS, "batch")
-            queries = params.get("queries")
-            if not isinstance(queries, list) or not queries:
-                raise InvalidRequestError(
-                    "'queries' must be a non-empty JSON array"
-                )
-            requests = [
-                parse_batch_item(graph, item, position)
-                for position, item in enumerate(queries)
-            ]
-            deadline = _parse_float(params, "deadline")
-            explain = _parse_flag(params, "explain")
-            result = service.query_batch(
-                requests, deadline=deadline, explain=explain
-            )
-        except ServeError as exc:
-            self._send_error_json(exc)
-            return
-        self._send_json(200, render_batch_result(graph, requests, result))
-
-    def _handle_update(self, params: dict) -> None:
-        service = self.service
-        try:
-            _reject_unknown(params, _UPDATE_FIELDS, "update")
-            updates = params.get("updates")
-            if not isinstance(updates, list) or not updates:
-                raise InvalidRequestError(
-                    "'updates' must be a non-empty JSON array"
-                )
-            ops = [
-                parse_update_item(item, position)
-                for position, item in enumerate(updates)
-            ]
-            result = service.update_batch(ops)
-        except ServeError as exc:
-            self._send_error_json(exc)
-            return
-        self._send_json(200, render_update_result(result))
 
 
 class PMBCServer:
@@ -644,19 +692,3 @@ class PMBCServer:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-def serve_forever(
-    service: PMBCService,
-    host: str = "127.0.0.1",
-    port: int = 8642,
-    verbose: bool = False,
-) -> None:
-    """Convenience: run a server in the foreground until interrupted."""
-    server = PMBCServer(service, host=host, port=port, verbose=verbose)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()

@@ -5,7 +5,8 @@ at once with a JSON 400 and a closed connection — never a hang (the
 threaded front-end used to block in ``rfile.read(-1)``), a dropped
 connection, or a huge allocation — and the server must keep serving
 afterwards.  A body sent to an unknown route is consumed, not parsed as
-the next request on the connection.
+the next request on the connection.  Neither front-end decodes chunked
+bodies, so a ``Transfer-Encoding`` header gets the same 400 and close.
 """
 
 from __future__ import annotations
@@ -87,3 +88,31 @@ def test_body_of_unknown_route_is_not_a_request(server):
         + b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
     )
     assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [b"404", b"200"]
+
+
+def test_transfer_encoding_is_400_and_body_unread(server):
+    reply = _exchange(
+        server.address,
+        b"POST /query HTTP/1.1\r\nHost: test\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        b"5\r\nhello\r\n0\r\n\r\n",
+    )
+    # One answer: the chunk is neither decoded nor read as a request.
+    assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [b"400"]
+    head, __, body = reply.partition(b"\r\n\r\n")
+    assert b"Connection: close" in head
+    payload = json.loads(body)
+    assert payload["error"] == "InvalidRequestError"
+    assert "Transfer-Encoding" in payload["detail"]
+    assert PMBCClient(server.url, timeout=3).healthz()
+
+
+def test_body_of_a_get_is_not_a_request(server):
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+    reply = _exchange(
+        server.address,
+        b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(smuggled)
+        + smuggled,
+    )
+    assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [b"200"]

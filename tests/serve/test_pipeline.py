@@ -26,7 +26,7 @@ from repro.serve import (
     PMBCService,
     ServiceConfig,
 )
-from repro.serve.server import PMBCRequestHandler
+from repro.serve.server import PMBCRequestHandler, route_request
 from repro.shard import ShardedService
 
 # ----------------------------------------------------------------------
@@ -154,7 +154,8 @@ def test_threaded_response_is_one_write():
     handler.command = "GET"
     handler.client_address = ("127.0.0.1", 0)
     handler.close_connection = False
-    handler._send_json(200, {"status": "ok"})
+    healthy = SimpleNamespace(healthy=lambda: True)
+    handler._write(route_request(healthy, "GET", "/healthz", b""))
     (written,) = handler.wfile.writes
     head, body = written.split(b"\r\n\r\n", 1)
     assert head.startswith(b"HTTP/1.1 200")
